@@ -54,7 +54,6 @@ fn bench_runtime(c: &mut Criterion) {
     let topo_config = EngineConfig {
         timesteps: 3,
         elements: 16,
-        timeout_ms: 120_000,
         ..EngineConfig::default()
     };
     let max_tasks = scaling_max_tasks();

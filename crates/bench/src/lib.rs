@@ -28,7 +28,7 @@
 //!   on the runtime engine under the evaluation sandbox.
 //!   `executions` / `executions_per_sec` count full extract → parse → run
 //!   → trace-score pipelines (the headline number; each completed run
-//!   spawns real threads and moves real messages), `completed` /
+//!   moves real messages through the engine), `completed` /
 //!   `unparsed` split the workload by outcome and — together with
 //!   `mean_runnability` / `mean_fidelity` — act as a determinism checksum:
 //!   they must not drift between runs of the same seed.
@@ -36,18 +36,17 @@
 //!   `runtime_scaling` bench or `repro bench-scaling`) — engine scaling
 //!   over synthetic topologies: every acyclic [`wfspeak_systems::topo`]
 //!   shape (fan-out, chain, diamond, random) at 10/100/1000 tasks is taken
-//!   through validate → normalize → engine run → trace summary, twice at
-//!   different channel capacities.  Each `tiers[]` entry carries the
-//!   tier's exact workload counters (`tasks`, `edges`, `published`,
-//!   `received`), its `checksum` (an FNV-1a fold of the run's
-//!   [`wfspeak_runtime::TraceSummary`] as a `0x`-prefixed hex string,
-//!   bit-identical across capacities and repeat runs of the same seed)
-//!   and its `tasks_per_sec` / `messages_per_sec` rates; the report-level
-//!   `checksum` folds all tier checksums, and `deterministic` asserts
-//!   that both capacity runs of every tier summarised identically (trace
-//!   fidelity exactly 1.0). `max_tasks` records any tier bound in force
-//!   (the CI smoke caps the sweep at the 100-task tier via
-//!   `WFSPEAK_SCALING_MAX`; `null` means unbounded).
+//!   through validate → normalize → engine run → trace summary, twice.
+//!   Each `tiers[]` entry carries the tier's exact workload counters
+//!   (`tasks`, `edges`, `published`, `received`), its `checksum` (an
+//!   FNV-1a fold of the run's [`wfspeak_runtime::TraceSummary`] as a
+//!   `0x`-prefixed hex string, bit-identical across repeat runs of the
+//!   same seed) and its `tasks_per_sec` / `messages_per_sec` rates; the
+//!   report-level `checksum` folds all tier checksums, and
+//!   `deterministic` asserts that both runs of every tier summarised
+//!   identically (trace fidelity exactly 1.0). `max_tasks` records any
+//!   tier bound in force (the CI smoke caps the sweep at the 100-task tier
+//!   via `WFSPEAK_SCALING_MAX`; `null` means unbounded).
 //! * **`BENCH_6.json`** ([`ConnectionScalingReport`], written by the
 //!   `connection_scaling` bench or `repro bench-connections`) —
 //!   high-connection scaling of the event-driven server: the same fixed
@@ -607,10 +606,10 @@ pub struct ScalingTierReport {
     pub received: usize,
     /// FNV-1a fold of the run's [`wfspeak_runtime::TraceSummary`], as a
     /// `0x`-prefixed hex string (JSON numbers would lose the top bit): the
-    /// tier's determinism checksum, identical across channel capacities
-    /// and repeat runs of the same seed.
+    /// tier's determinism checksum, identical across repeat runs of the
+    /// same seed.
     pub checksum: String,
-    /// Wall-clock seconds for the measured (first-capacity) run.
+    /// Wall-clock seconds for the measured (first) run.
     pub wall_time_secs: f64,
     /// Tasks executed per second in the measured run.
     pub tasks_per_sec: f64,
@@ -637,16 +636,16 @@ pub struct RuntimeScalingReport {
     pub total_tasks: usize,
     /// Dataset messages moved across all measured tiers.
     pub total_messages: usize,
-    /// True when every tier's two capacity runs summarised identically
+    /// True when every tier's two runs summarised identically
     /// (trace fidelity exactly 1.0) — the report's headline determinism
     /// claim.
     pub deterministic: bool,
     /// FNV-1a fold of every tier checksum, in tier order, as a
     /// `0x`-prefixed hex string.
     pub checksum: String,
-    /// Wall-clock seconds for all measured runs (both capacities).
+    /// Wall-clock seconds for all runs (measured and rerun).
     pub wall_time_secs: f64,
-    /// Tasks executed per second across the measured (first-capacity) runs.
+    /// Tasks executed per second across the measured (first) runs.
     pub tasks_per_sec: f64,
 }
 
@@ -696,8 +695,8 @@ fn summary_checksum(summary: &wfspeak_runtime::TraceSummary) -> u64 {
 /// Run the synthetic-topology suite (every acyclic shape at every
 /// [`wfspeak_systems::topo::BENCH_SIZES`] tier up to `max_tasks`) through
 /// validate → normalize → engine → [`wfspeak_runtime::TraceSummary`], each
-/// tier twice at different channel capacities, and report per-tier
-/// throughput plus determinism checksums.
+/// tier twice under the same configuration, and report per-tier throughput
+/// plus determinism checksums.
 ///
 /// Panics if a generated spec fails validation or an engine run errors —
 /// the suite is the engine's own test corpus, so either is a bug, not a
@@ -706,16 +705,11 @@ pub fn measure_runtime_scaling(max_tasks: usize, seed: u64) -> RuntimeScalingRep
     use wfspeak_runtime::{Engine, EngineConfig};
     use wfspeak_systems::topo::bench_suite;
 
-    let engine_config = |channel_capacity: usize| EngineConfig {
-        channel_capacity,
+    let engine = Engine::new(EngineConfig {
         elements: 16,
-        // Generous: the 1000-task tiers run thousands of threads through
-        // one scheduler; a receive is only "stuck" if nothing moves for
-        // minutes.
-        timeout_ms: 120_000,
         seed,
         ..EngineConfig::default()
-    };
+    });
 
     let start = Instant::now();
     let mut tiers = Vec::new();
@@ -739,7 +733,7 @@ pub fn measure_runtime_scaling(max_tasks: usize, seed: u64) -> RuntimeScalingRep
         let spec = spec.normalized();
 
         let tier_start = Instant::now();
-        let outcome = Engine::new(engine_config(8))
+        let outcome = engine
             .run(&spec)
             .unwrap_or_else(|e| panic!("{}: engine run failed: {e}", topo.name()));
         let tier_wall = tier_start.elapsed().as_secs_f64();
@@ -747,9 +741,9 @@ pub fn measure_runtime_scaling(max_tasks: usize, seed: u64) -> RuntimeScalingRep
         let summary = outcome.summary();
         timesteps = outcome.timesteps;
 
-        // Determinism recheck: a different channel capacity only reorders
-        // scheduling, so the summary must be bit-identical.
-        let recheck = Engine::new(engine_config(2))
+        // Determinism recheck: a rerun of the same spec and seed must
+        // summarise bit-identically.
+        let recheck = engine
             .run(&spec)
             .unwrap_or_else(|e| panic!("{}: recheck run failed: {e}", topo.name()))
             .summary();
@@ -1476,10 +1470,34 @@ mod tests {
         // 2 sizes (10, 100) × 4 acyclic shapes.
         assert_eq!(report.tiers.len(), 8);
         assert_eq!(report.max_tasks, Some(100));
-        assert!(
-            report.deterministic,
-            "summaries must match across capacities"
-        );
+        assert!(report.deterministic, "summaries must match across reruns");
+        // Every tier reproduces the committed BENCH_5.json counters and
+        // checksum bit-for-bit.  The 1000-task tiers would add seconds to
+        // a debug test run: compare a `repro bench-scaling` report with the
+        // same file for those.
+        let committed: serde_json::Value =
+            serde_json::from_str(include_str!("../../../BENCH_5.json")).unwrap();
+        let pinned = committed["tiers"].as_array().unwrap();
+        for (tier, pin) in report.tiers.iter().zip(pinned) {
+            let label = format!("{} × {}", tier.shape, tier.tasks);
+            assert_eq!(pin["shape"].as_str(), Some(tier.shape.as_str()), "{label}");
+            assert_eq!(pin["tasks"].as_i64(), Some(tier.tasks as i64), "{label}");
+            assert_eq!(
+                pin["published"].as_i64(),
+                Some(tier.published as i64),
+                "{label}"
+            );
+            assert_eq!(
+                pin["received"].as_i64(),
+                Some(tier.received as i64),
+                "{label}"
+            );
+            assert_eq!(
+                pin["checksum"].as_str(),
+                Some(tier.checksum.as_str()),
+                "{label}"
+            );
+        }
         assert!(report.total_tasks > 0 && report.total_messages > 0);
         assert!(report.wall_time_secs > 0.0 && report.tasks_per_sec > 0.0);
         for tier in &report.tiers {

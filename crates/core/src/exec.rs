@@ -16,8 +16,8 @@
 //!    `WorkflowSpec::normalize` canonicalises it so downstream scoring is
 //!    insensitive to task/edge declaration order;
 //! 4. **run** — the [`wfspeak_runtime::Engine`] executes the spec under a
-//!    bounded [`SandboxConfig`] (capped timesteps, elements, process counts
-//!    and per-operation timeouts);
+//!    bounded [`SandboxConfig`] (fixed timesteps and elements, capped task
+//!    and process counts);
 //! 5. **score** — the run's deterministic [`TraceSummary`] is compared
 //!    against the *reference* artifact's run, yielding a runnability score
 //!    and a trace-fidelity score.
@@ -51,25 +51,22 @@ use crate::runner::Benchmark;
 ///
 /// Generated configurations routinely hallucinate structure; the sandbox
 /// keeps every run small and bounded no matter what the artifact claims:
-/// timesteps/elements are fixed by the sandbox (not the artifact), process
-/// and task counts are capped before any thread is spawned, and each
-/// send/receive carries a timeout so no run outlives
-/// `timesteps × timeout_ms` even when the graph stalls.
+/// timesteps/elements are fixed by the sandbox (not the artifact), and task
+/// and process counts are capped before the engine starts.  The engine runs
+/// on the caller's thread and a stalled graph fails at once (an input that
+/// ends without end-of-stream means its producer failed), so every run's
+/// work is bounded by these fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SandboxConfig {
     /// Timesteps each producer runs for.
     pub timesteps: usize,
-    /// Elements per rank in generated arrays (kept small: the score uses
-    /// message counts, not payload size).
+    /// Elements in generated arrays (kept small: the score uses message
+    /// counts, not payload size).
     pub elements: usize,
-    /// Bounded channel capacity per link.
-    pub channel_capacity: usize,
-    /// Per-operation send/receive timeout, in milliseconds.
-    pub timeout_ms: u64,
     /// RNG seed for data generation (fixed for deterministic scoring).
     pub seed: u64,
-    /// Refuse to run specs requesting more total processes than this (each
-    /// process is a thread).
+    /// Refuse to run specs requesting more total processes than this: a
+    /// plausibility bound on what the artifact asks a deployment for.
     pub max_total_procs: usize,
     /// Refuse to run specs declaring more tasks than this.
     pub max_tasks: usize,
@@ -80,8 +77,6 @@ impl Default for SandboxConfig {
         SandboxConfig {
             timesteps: 3,
             elements: 16,
-            channel_capacity: 8,
-            timeout_ms: 2_000,
             seed: 42,
             max_total_procs: 64,
             max_tasks: 16,
@@ -95,8 +90,6 @@ impl SandboxConfig {
         EngineConfig {
             timesteps: self.timesteps,
             elements: self.elements,
-            channel_capacity: self.channel_capacity,
-            timeout_ms: self.timeout_ms,
             seed: self.seed,
             fail_task: None,
         }

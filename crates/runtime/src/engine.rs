@@ -1,22 +1,21 @@
-//! The workflow engine: builds the task graph from a specification, runs
-//! each task's process group on threads and collects the outcome.
+//! The workflow engine: builds the task graph from a specification and
+//! runs every task to the end on the caller's thread, producers before
+//! their consumers.
+//!
+//! Scores are functions of message counts, never of scheduling, so there
+//! is nothing for concurrency to add: each link is a queue, and a task
+//! starts only once every task it reads from has finished.  A consumer that
+//! finds an input empty with no end-of-stream knows its producer failed and
+//! fails too, at once — no run waits on a timeout.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
-
-use crossbeam_channel::bounded;
-use parking_lot::Mutex;
 
 use wfspeak_systems::spec::DataRole;
 use wfspeak_systems::wilkins::WilkinsConfig;
 use wfspeak_systems::WorkflowSpec;
 
-use crate::data::DataMessage;
-use crate::task::{
-    rank_rng, ConsumerBehavior, ProducerBehavior, ReduceGroup, RelayBehavior, TaskBehavior,
-    TaskContext,
-};
+use crate::task::{rank_rng, Link, Output, TaskContext, TaskRole};
 use crate::trace::{EventKind, ExecutionTrace};
 
 /// Engine tuning knobs.
@@ -24,12 +23,8 @@ use crate::trace::{EventKind, ExecutionTrace};
 pub struct EngineConfig {
     /// Number of timesteps the producer runs for (the benchmark default is 3).
     pub timesteps: usize,
-    /// Elements per rank in generated arrays (benchmark default 50).
+    /// Elements in generated arrays (benchmark default 50).
     pub elements: usize,
-    /// Bounded channel capacity per link.
-    pub channel_capacity: usize,
-    /// Send/receive timeout per operation, in milliseconds.
-    pub timeout_ms: u64,
     /// RNG seed for data generation.
     pub seed: u64,
     /// Inject a failure into this task at timestep 1 (failure-handling tests).
@@ -41,8 +36,6 @@ impl Default for EngineConfig {
         EngineConfig {
             timesteps: 3,
             elements: 50,
-            channel_capacity: 8,
-            timeout_ms: 2_000,
             seed: 42,
             fail_task: None,
         }
@@ -120,145 +113,52 @@ impl Engine {
         }
         let start = Instant::now();
         let trace = ExecutionTrace::new();
-
-        // Build one bounded channel per (producer, consumer, dataset) edge.
-        let mut senders: HashMap<(String, String), Vec<crossbeam_channel::Sender<DataMessage>>> =
-            HashMap::new();
-        let mut receivers: HashMap<(String, String), crossbeam_channel::Receiver<DataMessage>> =
-            HashMap::new();
-        for (producer, consumer, dataset) in spec.edges() {
-            let (tx, rx) = bounded(self.config.channel_capacity);
-            senders
-                .entry((producer.clone(), dataset.clone()))
-                .or_default()
-                .push(tx);
-            receivers.insert((consumer, dataset), rx);
+        let mut graph = Graph::build(spec);
+        for task in &spec.tasks {
+            trace.record(&task.name, 0, EventKind::TaskStarted);
         }
 
-        let results: Arc<Mutex<HashMap<String, Vec<f64>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let mut handles = Vec::new();
-
-        for task in &spec.tasks {
-            let produces = task.data.iter().any(|d| d.role == DataRole::Produces);
-            let consumes = task.data.iter().any(|d| d.role == DataRole::Consumes);
-            let behavior: Arc<dyn TaskBehavior> = match (produces, consumes) {
-                // Interior stage: drain inputs and republish downstream.
-                (true, true) => Arc::new(RelayBehavior),
-                (true, false) => Arc::new(ProducerBehavior),
-                _ => Arc::new(ConsumerBehavior),
+        let mut consumer_sums = HashMap::new();
+        for &index in &graph.order {
+            let task = &spec.tasks[index];
+            let mut ctx = TaskContext {
+                task: &task.name,
+                timesteps: self.config.timesteps,
+                elements: self.config.elements,
+                inputs: std::mem::take(&mut graph.inputs[index]),
+                outputs: std::mem::take(&mut graph.outputs[index]),
+                links: &mut graph.links,
+                trace: &trace,
+                rng: rank_rng(self.config.seed, &task.name, 0),
+                received_sums: Vec::new(),
+                fail_at_step: (self.config.fail_task.as_ref() == Some(&task.name)).then_some(1),
             };
-            let reduce = Arc::new(ReduceGroup::new(task.nprocs));
-            trace.record(&task.name, 0, EventKind::TaskStarted);
-
-            for rank in 0..task.nprocs {
-                let mut outputs: HashMap<String, Vec<crossbeam_channel::Sender<DataMessage>>> =
-                    HashMap::new();
-                let mut inputs: HashMap<String, crossbeam_channel::Receiver<DataMessage>> =
-                    HashMap::new();
-                let mut group_paths = HashMap::new();
-                if rank == 0 {
-                    for req in &task.data {
-                        group_paths.insert(req.dataset.clone(), req.group_path.clone());
-                        match req.role {
-                            DataRole::Produces => {
-                                if let Some(txs) =
-                                    senders.get(&(task.name.clone(), req.dataset.clone()))
-                                {
-                                    outputs.insert(req.dataset.clone(), txs.clone());
-                                } else {
-                                    // Dataset produced but never consumed: no links.
-                                    outputs.insert(req.dataset.clone(), Vec::new());
-                                }
-                            }
-                            DataRole::Consumes => {
-                                if let Some(rx) =
-                                    receivers.remove(&(task.name.clone(), req.dataset.clone()))
-                                {
-                                    inputs.insert(req.dataset.clone(), rx);
-                                }
-                            }
-                        }
+            match TaskRole::of(task).run(&mut ctx) {
+                Ok(()) => {
+                    trace.record(&task.name, 0, EventKind::TaskFinished);
+                    if !ctx.received_sums.is_empty() {
+                        consumer_sums.insert(task.name.clone(), ctx.received_sums);
                     }
                 }
-                let fail_at_step = match &self.config.fail_task {
-                    Some(name) if name == &task.name && rank == 0 => Some(1),
-                    _ => None,
-                };
-                let mut ctx = TaskContext {
-                    task: task.name.clone(),
-                    rank,
-                    nprocs: task.nprocs,
-                    timesteps: self.config.timesteps,
-                    elements: self.config.elements,
-                    outputs,
-                    inputs,
-                    group_paths,
-                    reduce: reduce.clone(),
-                    trace: trace.clone(),
-                    rng: rank_rng(self.config.seed, &task.name, rank),
-                    timeout_ms: self.config.timeout_ms,
-                    received_sums: Vec::new(),
-                    fail_at_step,
-                };
-                let behavior = behavior.clone();
-                let results = results.clone();
-                let trace = trace.clone();
-                let task_name = task.name.clone();
-                handles.push(std::thread::spawn(move || match behavior.run(&mut ctx) {
-                    Ok(()) => {
-                        if rank == 0 {
-                            trace.record(&task_name, rank, EventKind::TaskFinished);
-                        }
-                        if !ctx.received_sums.is_empty() {
-                            results
-                                .lock()
-                                .entry(task_name.clone())
-                                .or_default()
-                                .extend(ctx.received_sums);
-                        }
-                        true
-                    }
-                    Err(reason) => {
-                        trace.record(&task_name, rank, EventKind::TaskFailed { reason });
-                        false
-                    }
-                }));
+                Err(reason) => trace.record(&task.name, 0, EventKind::TaskFailed { reason }),
             }
         }
-
-        let mut all_ok = true;
-        for handle in handles {
-            match handle.join() {
-                Ok(ok) => all_ok &= ok,
-                Err(_) => all_ok = false,
-            }
-        }
-
-        let consumer_sums = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| arc.lock().clone());
         let failed_tasks = trace.failed_tasks();
 
         // Completion additionally requires every consumer to have seen every
         // timestep of every dataset it subscribes to.
-        let mut delivery_ok = true;
-        for task in &spec.tasks {
-            let expected: usize = task
+        let delivery_ok = spec.tasks.iter().all(|task| {
+            let expected = task
                 .data
                 .iter()
                 .filter(|d| d.role == DataRole::Consumes)
                 .count()
                 * self.config.timesteps;
-            if expected > 0 {
-                let got = consumer_sums.get(&task.name).map(Vec::len).unwrap_or(0);
-                if got != expected {
-                    delivery_ok = false;
-                }
-            }
-        }
+            expected == 0 || consumer_sums.get(&task.name).map_or(0, Vec::len) == expected
+        });
 
         Ok(RunOutcome {
-            completed: all_ok && failed_tasks.is_empty() && delivery_ok,
+            completed: failed_tasks.is_empty() && delivery_ok,
             timesteps: self.config.timesteps,
             duration: start.elapsed(),
             consumer_sums,
@@ -277,11 +177,109 @@ impl Engine {
     }
 }
 
+/// The task graph of one run: one link per (producer, consumer, dataset)
+/// edge, each task's inputs and outputs over those links, and an order that
+/// runs every producer before its consumers.
+struct Graph<'a> {
+    links: Vec<Link>,
+    inputs: Vec<BTreeMap<&'a str, usize>>,
+    outputs: Vec<BTreeMap<&'a str, Output<'a>>>,
+    order: Vec<usize>,
+}
+
+impl<'a> Graph<'a> {
+    /// Wire `spec`, which must have passed `validate` (unique task names,
+    /// no cycles, no self-loops).
+    ///
+    /// Links are made in [`WorkflowSpec::edges`] order, and each consumer
+    /// reads a dataset from the *last* link made to it.  When two tasks
+    /// produce one dataset, the earlier producer's links are left
+    /// disconnected, so it fails on its first send.
+    fn build(spec: &'a WorkflowSpec) -> Self {
+        let n = spec.tasks.len();
+        let mut consumers: HashMap<&str, Vec<usize>> = HashMap::new();
+        for (c, task) in spec.tasks.iter().enumerate() {
+            for d in task.data.iter().filter(|d| d.role == DataRole::Consumes) {
+                let list = consumers.entry(&d.dataset).or_default();
+                if list.last() != Some(&c) {
+                    list.push(c);
+                }
+            }
+        }
+
+        let mut links = Vec::new();
+        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut indegree = vec![0usize; n];
+        let mut inputs: Vec<BTreeMap<&str, usize>> = vec![BTreeMap::new(); n];
+        let mut outputs: Vec<BTreeMap<&str, Output>> = vec![BTreeMap::new(); n];
+        for (p, task) in spec.tasks.iter().enumerate() {
+            for d in task.data.iter().filter(|d| d.role == DataRole::Produces) {
+                let output = outputs[p].entry(d.dataset.as_str()).or_default();
+                output.group_path = &d.group_path;
+                for &c in consumers.get(d.dataset.as_str()).into_iter().flatten() {
+                    if c == p {
+                        continue;
+                    }
+                    output.links.push(links.len());
+                    inputs[c].insert(&d.dataset, links.len());
+                    links.push(Link::default());
+                    successors[p].push(c);
+                    indegree[c] += 1;
+                }
+            }
+        }
+        for &link in inputs.iter().flat_map(BTreeMap::values) {
+            links[link].connected = true;
+        }
+
+        // Kahn's algorithm; `validate` already rejected cycles, so every
+        // task gets a place.
+        let mut order: Vec<usize> = (0..n).filter(|&t| indegree[t] == 0).collect();
+        let mut next = 0;
+        while let Some(&t) = order.get(next) {
+            next += 1;
+            for &s in &successors[t] {
+                indegree[s] -= 1;
+                if indegree[s] == 0 {
+                    order.push(s);
+                }
+            }
+        }
+        debug_assert_eq!(order.len(), n, "validated specs are acyclic");
+
+        Graph {
+            links,
+            inputs,
+            outputs,
+            order,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceSummary;
     use wfspeak_corpus::references::configs::WILKINS_3NODE;
     use wfspeak_systems::spec::TaskSpec;
+
+    /// What a completed run must reproduce exactly: its summary and every
+    /// consumer's sums.
+    fn fingerprint(outcome: RunOutcome) -> (TraceSummary, Vec<(String, Vec<f64>)>) {
+        assert!(outcome.completed, "trace:\n{}", outcome.trace.render());
+        let summary = outcome.summary();
+        let mut sums: Vec<(String, Vec<f64>)> = outcome.consumer_sums.into_iter().collect();
+        sums.sort_by(|a, b| a.0.cmp(&b.0));
+        (summary, sums)
+    }
+
+    /// A run's failed tasks (sorted) and trace summary, in the form the
+    /// threaded engine's outcomes were recorded in.
+    fn observed(outcome: &RunOutcome) -> String {
+        let mut failed = outcome.failed_tasks.clone();
+        failed.sort();
+        format!("failed {failed:?} summary {:?}", outcome.summary())
+    }
 
     #[test]
     fn paper_3node_workflow_runs_to_completion() {
@@ -332,38 +330,20 @@ mod tests {
     }
 
     #[test]
-    fn benchmark_spec_traces_are_deterministic_across_runs_and_capacities() {
+    fn benchmark_spec_traces_are_deterministic_across_runs() {
         // Execution scoring depends on this: repeated runs of the benchmark
-        // spec under one seed must summarise identically, and the channel
-        // capacity (a scheduling knob, not a semantic one) must not change
-        // what was published, received or summed.
-        let run = |channel_capacity: usize| {
-            let config = EngineConfig {
-                channel_capacity,
-                ..EngineConfig::default()
-            };
-            let outcome = Engine::new(config)
-                .run(&WorkflowSpec::paper_3node())
-                .unwrap();
-            assert!(outcome.completed, "trace:\n{}", outcome.trace.render());
-            let summary = outcome.summary();
-            let mut sums: Vec<(String, Vec<f64>)> = outcome.consumer_sums.into_iter().collect();
-            sums.sort_by(|a, b| a.0.cmp(&b.0));
-            (summary, sums)
+        // spec under one seed must summarise identically and sum the same
+        // data.
+        let run = || {
+            fingerprint(
+                Engine::new(EngineConfig::default())
+                    .run(&WorkflowSpec::paper_3node())
+                    .unwrap(),
+            )
         };
-        let (baseline_summary, baseline_sums) = run(8);
+        let baseline = run();
         for _ in 0..3 {
-            let (summary, sums) = run(8);
-            assert_eq!(summary, baseline_summary, "repeat run diverged");
-            assert_eq!(sums, baseline_sums, "repeat run changed consumer sums");
-        }
-        for capacity in [1, 2, 4, 32] {
-            let (summary, sums) = run(capacity);
-            assert_eq!(summary, baseline_summary, "capacity {capacity} diverged");
-            assert_eq!(
-                sums, baseline_sums,
-                "capacity {capacity} changed consumer sums"
-            );
+            assert_eq!(run(), baseline, "repeat run diverged");
         }
     }
 
@@ -384,30 +364,15 @@ mod tests {
     }
 
     #[test]
-    fn thousand_task_topologies_are_deterministic_across_capacities() {
+    fn thousand_task_topologies_are_deterministic_across_runs() {
         // The scaling benchmark's determinism checksums rest on this: a
-        // seeded 1000-task graph must summarise identically run to run and
-        // across channel capacities, which only reorder scheduling.
+        // seeded 1000-task graph must complete and summarise identically
+        // run to run.
         use wfspeak_systems::topo::{TopoShape, TopoSpec};
         for shape in [TopoShape::Diamond, TopoShape::FanOut] {
             let spec = TopoSpec::new(shape, 1000, 42).generate();
-            let run = |channel_capacity: usize| {
-                let config = EngineConfig {
-                    channel_capacity,
-                    timeout_ms: 60_000,
-                    ..EngineConfig::default()
-                };
-                let outcome = Engine::new(config).run(&spec).unwrap();
-                assert!(outcome.completed, "{shape} did not complete");
-                let summary = outcome.summary();
-                let mut sums: Vec<(String, Vec<f64>)> = outcome.consumer_sums.into_iter().collect();
-                sums.sort_by(|a, b| a.0.cmp(&b.0));
-                (summary, sums)
-            };
-            let baseline = run(8);
-            for capacity in [1, 32] {
-                assert_eq!(run(capacity), baseline, "{shape} capacity {capacity}");
-            }
+            let run = || fingerprint(Engine::new(EngineConfig::default()).run(&spec).unwrap());
+            assert_eq!(run(), run(), "{shape}");
         }
     }
 
@@ -440,21 +405,98 @@ mod tests {
     fn injected_producer_failure_propagates() {
         let config = EngineConfig {
             fail_task: Some("producer".into()),
-            timeout_ms: 300,
             ..EngineConfig::default()
         };
         let outcome = Engine::new(config)
             .run(&WorkflowSpec::fewshot_2node())
             .unwrap();
         assert!(!outcome.completed);
+        // The producer published timestep 0 and failed at timestep 1; the
+        // consumer took timestep 0, found its input empty with no
+        // end-of-stream, and failed without waiting.  A failed task
+        // contributes no sums.
+        assert!(observed(&outcome).starts_with(r#"failed ["consumer", "producer"]"#));
+        assert_eq!(outcome.trace.published_count("particles"), 1);
+        assert_eq!(outcome.trace.received_count("particles"), 1);
+        assert!(outcome.consumer_sums.is_empty());
+    }
+
+    #[test]
+    fn injected_failure_in_a_multi_rank_producer_returns() {
+        // The producer has 3 ranks; a failure of its rank 0 must end the
+        // run, not leave the other ranks waiting for it.
+        let config = EngineConfig {
+            fail_task: Some("producer".into()),
+            ..EngineConfig::default()
+        };
+        let outcome = Engine::new(config)
+            .run(&WorkflowSpec::paper_3node())
+            .unwrap();
+        assert!(!outcome.completed);
         assert!(outcome.failed_tasks.contains(&"producer".to_string()));
+
+        // The same holds when a multi-rank producer fails on a send (here:
+        // the duplicate-producer quirk) rather than by injection.
+        let spec = WorkflowSpec::new("dup-multi-rank")
+            .with_task(TaskSpec::new("p1", 2).produces("grid").produces("aux"))
+            .with_task(TaskSpec::new("p2", 1).produces("grid"))
+            .with_task(TaskSpec::new("c1", 1).consumes("grid"))
+            .with_task(TaskSpec::new("c2", 1).consumes("aux"));
+        let outcome = Engine::new(EngineConfig::default()).run(&spec).unwrap();
+        assert!(!outcome.completed);
+        assert!(observed(&outcome).starts_with(r#"failed ["c2", "p1"]"#));
+    }
+
+    #[test]
+    fn duplicate_producers_connect_only_the_last_producer() {
+        // Two tasks produce `grid` for `c`: only the producer declared last
+        // is connected, and the earlier one fails on its first send.  The
+        // expected outcomes are the threaded engine's.
+        let spec = WorkflowSpec::new("dup")
+            .with_task(TaskSpec::new("p1", 1).produces("grid"))
+            .with_task(TaskSpec::new("p2", 1).produces("grid"))
+            .with_task(TaskSpec::new("c", 1).consumes("grid"));
+        let outcome = Engine::new(EngineConfig::default()).run(&spec).unwrap();
+        assert!(!outcome.completed);
+        assert_eq!(outcome.consumer_sums["c"].len(), 3);
+        assert_eq!(
+            observed(&outcome),
+            concat!(
+                r#"failed ["p1"] summary TraceSummary { events: {"data-published": 3, "#,
+                r#""data-received": 3, "task-failed": 1, "task-finished": 2, "task-started": 3}, "#,
+                r#"published: {"grid": 3}, received: {"grid": 3}, tasks_started: {"c": 1, "#,
+                r#""p1": 1, "p2": 1}, tasks_finished: {"c": 1, "p2": 1}, tasks_failed: {"p1": 1} }"#
+            )
+        );
+
+        // The failing producer first publishes `aa` (datasets go out in
+        // name order), so the relay downstream of it takes one timestep,
+        // publishes once and fails, and so does the sink reading from it.
+        let spec = WorkflowSpec::new("dup-relay")
+            .with_task(TaskSpec::new("p1", 1).produces("grid").produces("aa"))
+            .with_task(TaskSpec::new("p2", 1).produces("grid"))
+            .with_task(TaskSpec::new("relay", 1).consumes("aa").produces("cooked"))
+            .with_task(TaskSpec::new("sink", 1).consumes("cooked").consumes("grid"));
+        let outcome = Engine::new(EngineConfig::default()).run(&spec).unwrap();
+        assert!(!outcome.completed);
+        assert!(outcome.consumer_sums.is_empty());
+        assert_eq!(
+            observed(&outcome),
+            concat!(
+                r#"failed ["p1", "relay", "sink"] summary TraceSummary { events: "#,
+                r#"{"data-published": 5, "data-received": 3, "task-failed": 3, "#,
+                r#""task-finished": 1, "task-started": 4}, published: {"aa": 1, "cooked": 1, "#,
+                r#""grid": 3}, received: {"aa": 1, "cooked": 1, "grid": 1}, tasks_started: "#,
+                r#"{"p1": 1, "p2": 1, "relay": 1, "sink": 1}, tasks_finished: {"p2": 1}, "#,
+                r#"tasks_failed: {"p1": 1, "relay": 1, "sink": 1} }"#
+            )
+        );
     }
 
     #[test]
     fn injected_consumer_failure_marks_run_incomplete() {
         let config = EngineConfig {
             fail_task: Some("consumer".into()),
-            timeout_ms: 300,
             ..EngineConfig::default()
         };
         let outcome = Engine::new(config)

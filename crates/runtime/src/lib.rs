@@ -4,9 +4,12 @@
 //! annotated task codes); this crate closes the loop by actually *running*
 //! the described workflow.  A validated Wilkins-style configuration (or a
 //! neutral [`wfspeak_systems::WorkflowSpec`]) is turned into a task graph
-//! whose tasks execute concurrently on thread-backed "process groups" and
-//! exchange typed datasets through in-memory channels — the same
-//! producer/consumer pattern the benchmark's task codes implement.
+//! whose tasks exchange typed datasets over in-memory queues — the same
+//! producer/consumer pattern the benchmark's task codes implement.  Every
+//! score depends on message counts alone, so the engine runs the graph on
+//! the caller's thread: tasks in dependency order, each to the end, with no
+//! threads, channels or timeouts.  The same spec and seed always produce
+//! the same run.
 //!
 //! Uses:
 //! * behavioural correctness checks — a generated configuration is "right"
@@ -30,10 +33,9 @@
 
 pub mod data;
 pub mod engine;
-pub mod task;
+mod task;
 pub mod trace;
 
 pub use data::{DataMessage, Dataset};
 pub use engine::{Engine, EngineConfig, EngineError, RunOutcome};
-pub use task::{ConsumerBehavior, ProducerBehavior, RelayBehavior, TaskBehavior, TaskContext};
 pub use trace::{Event, EventKind, ExecutionTrace, TraceSummary};

@@ -1,117 +1,92 @@
-//! Task behaviours and the per-rank execution context.
+//! Task roles and the per-task execution context.
+//!
+//! Only a task's rank 0 moves data: in the benchmark's task codes the other
+//! ranks only feed a sum reduction whose result no consumer sees.  So the
+//! engine steps rank 0 alone, and a task's `nprocs` only counts against the
+//! sandbox caps.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
 
-use crossbeam_channel::{Receiver, Sender};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use wfspeak_systems::spec::DataRole;
+use wfspeak_systems::TaskSpec;
 
 use crate::data::{DataMessage, Dataset};
 use crate::trace::{EventKind, ExecutionTrace};
 
-/// Shared per-task state used to emulate an MPI reduction across the task's
-/// ranks.
-#[derive(Debug)]
-pub struct ReduceGroup {
-    barrier: std::sync::Barrier,
-    partials: Mutex<Vec<f64>>,
+/// One producer→consumer edge: the messages published on it and not yet
+/// received, oldest first.
+#[derive(Debug, Default)]
+pub(crate) struct Link {
+    /// Messages in flight on this edge.
+    pub(crate) queue: VecDeque<DataMessage>,
+    /// False when the consumer reads this dataset from another link (a
+    /// later producer of the same dataset took its end over), so a send on
+    /// this one fails.
+    pub(crate) connected: bool,
 }
 
-impl ReduceGroup {
-    /// Create a reduce group for `nprocs` ranks.
-    pub fn new(nprocs: usize) -> Self {
-        ReduceGroup {
-            barrier: std::sync::Barrier::new(nprocs),
-            partials: Mutex::new(Vec::new()),
-        }
-    }
+/// A dataset a task produces: the group path stamped on it and one link
+/// per consumer edge, in edge order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Output<'a> {
+    /// HDF5-style group path of the published [`Dataset`]s.
+    pub(crate) group_path: &'a str,
+    /// Indices into [`TaskContext::links`].
+    pub(crate) links: Vec<usize>,
 }
 
-/// Everything one rank of one task needs while running.
-pub struct TaskContext {
+/// Everything one task needs while it runs.  Datasets are keyed by name in
+/// ordered maps, so inputs are drained and outputs published in name
+/// order: the trace and every arrival order are functions of the spec.
+pub(crate) struct TaskContext<'a> {
     /// Task name (e.g. `producer`).
-    pub task: String,
-    /// This rank's index within the task's process group.
-    pub rank: usize,
-    /// Number of ranks in the task's process group.
-    pub nprocs: usize,
+    pub(crate) task: &'a str,
     /// Number of timesteps the workflow runs for.
-    pub timesteps: usize,
-    /// Elements per rank in generated arrays.
-    pub elements: usize,
-    /// Outgoing links: dataset name → one sender per consumer of that
-    /// dataset.  Only rank 0 publishes.
-    pub outputs: HashMap<String, Vec<Sender<DataMessage>>>,
-    /// Incoming links: dataset name → receiver.  Only rank 0 receives.
-    pub inputs: HashMap<String, Receiver<DataMessage>>,
-    /// Group paths per dataset (for constructing [`Dataset`] values).
-    pub group_paths: HashMap<String, String>,
-    /// Shared reduce group for this task.
-    pub reduce: Arc<ReduceGroup>,
+    pub(crate) timesteps: usize,
+    /// Elements in generated arrays.
+    pub(crate) elements: usize,
+    /// Consumed dataset → the link it is read from.
+    pub(crate) inputs: BTreeMap<&'a str, usize>,
+    /// Produced dataset → its links.
+    pub(crate) outputs: BTreeMap<&'a str, Output<'a>>,
+    /// Every link of the workflow.
+    pub(crate) links: &'a mut [Link],
     /// Shared execution trace.
-    pub trace: ExecutionTrace,
-    /// Per-rank deterministic RNG.
-    pub rng: StdRng,
-    /// Timeout for sends/receives, in milliseconds.
-    pub timeout_ms: u64,
-    /// Collected per-timestep sums (consumers fill this in).
-    pub received_sums: Vec<f64>,
+    pub(crate) trace: &'a ExecutionTrace,
+    /// Deterministic RNG (the task's rank-0 stream).
+    pub(crate) rng: StdRng,
+    /// Collected per-message sums (consumers and relays fill this in).
+    pub(crate) received_sums: Vec<f64>,
     /// Inject a failure at this timestep, if set.
-    pub fail_at_step: Option<usize>,
+    pub(crate) fail_at_step: Option<usize>,
 }
 
-impl TaskContext {
-    /// Emulate `MPI_Reduce(sum, ..., MPI_SUM, root=0)`: every rank
-    /// contributes `local`, rank 0 receives the total.
-    pub fn reduce_sum(&self, local: f64) -> Option<f64> {
-        self.reduce.partials.lock().push(local);
-        self.reduce.barrier.wait();
-        let total = if self.rank == 0 {
-            let mut partials = self.reduce.partials.lock();
-            let total: f64 = partials.iter().sum();
-            partials.clear();
-            Some(total)
-        } else {
-            None
-        };
-        // Second barrier so no rank races ahead and pushes the next step's
-        // partial before rank 0 drained this step's.
-        self.reduce.barrier.wait();
-        total
-    }
-
-    /// Publish a dataset to every consumer of `name` (rank 0 only; other
-    /// ranks return immediately).
-    pub fn publish(&self, name: &str, timestep: usize, values: &[f32]) -> Result<(), String> {
-        if self.rank != 0 {
-            return Ok(());
-        }
-        let group_path = self
-            .group_paths
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| format!("/group1/{name}"));
-        let dataset = Dataset::from_f32(name, &group_path, values);
-        if let Some(senders) = self.outputs.get(name) {
-            for sender in senders {
-                sender
-                    .send_timeout(
-                        DataMessage::Step {
-                            timestep,
-                            dataset: dataset.clone(),
-                        },
-                        std::time::Duration::from_millis(self.timeout_ms),
-                    )
-                    .map_err(|e| {
-                        format!("{}: send of `{name}` timed out or failed: {e}", self.task)
-                    })?;
+impl TaskContext<'_> {
+    /// Publish `values` as dataset `name` on each of its links.  A send on
+    /// a disconnected link fails the task, as a send to a dropped receiver
+    /// would.
+    fn publish(&mut self, name: &str, timestep: usize, values: &[f32]) -> Result<(), String> {
+        let output = &self.outputs[name];
+        let dataset = Dataset::from_f32(name, output.group_path, values);
+        for &link in &output.links {
+            let link = &mut self.links[link];
+            if !link.connected {
+                return Err(format!(
+                    "{}: send of `{name}` failed: no consumer is attached to the link",
+                    self.task
+                ));
             }
+            link.queue.push_back(DataMessage::Step {
+                timestep,
+                dataset: dataset.clone(),
+            });
         }
         self.trace.record(
-            &self.task,
-            self.rank,
+            self.task,
+            0,
             EventKind::DataPublished {
                 dataset: name.to_owned(),
                 timestep,
@@ -120,60 +95,129 @@ impl TaskContext {
         Ok(())
     }
 
-    /// Signal end-of-stream on every output link (rank 0 only).
-    pub fn close_outputs(&self) {
-        if self.rank != 0 {
-            return;
-        }
-        for senders in self.outputs.values() {
-            for sender in senders {
-                let _ = sender.send(DataMessage::EndOfStream);
+    /// Publish one fresh random array as every dataset in `names`.
+    fn publish_fresh(&mut self, names: &[&str], timestep: usize) -> Result<(), String> {
+        let values: Vec<f32> = (0..self.elements).map(|_| self.rng.gen()).collect();
+        names
+            .iter()
+            .try_for_each(|name| self.publish(name, timestep, &values))
+    }
+
+    /// Signal end-of-stream on every connected output link.
+    fn close_outputs(&mut self) {
+        for output in self.outputs.values() {
+            for &link in &output.links {
+                let link = &mut self.links[link];
+                if link.connected {
+                    link.queue.push_back(DataMessage::EndOfStream);
+                }
             }
         }
     }
 
-    /// Receive the next message for dataset `name` (rank 0 only; other ranks
-    /// get `EndOfStream` immediately).
-    pub fn receive(&self, name: &str) -> Result<DataMessage, String> {
-        if self.rank != 0 {
-            return Ok(DataMessage::EndOfStream);
-        }
-        let receiver = self
+    /// Take the next message for dataset `name`.  Upstream tasks run to
+    /// the end before this one starts, so an empty link means its producer
+    /// failed before sending end-of-stream: nothing more will ever arrive.
+    fn receive(&mut self, name: &str) -> Result<DataMessage, String> {
+        let link = *self
             .inputs
             .get(name)
             .ok_or_else(|| format!("{}: no input link for dataset `{name}`", self.task))?;
-        receiver
-            .recv_timeout(std::time::Duration::from_millis(self.timeout_ms))
-            .map_err(|e| format!("{}: receive of `{name}` timed out: {e}", self.task))
+        self.links[link].queue.pop_front().ok_or_else(|| {
+            format!(
+                "{}: `{name}` ended without end-of-stream; its producer failed",
+                self.task
+            )
+        })
+    }
+
+    /// Receive one message from every open input in `names`, recording and
+    /// summing each dataset; an end-of-stream closes its input.  Returns
+    /// whether any data arrived.
+    fn receive_round(&mut self, names: &[&str], open: &mut [bool]) -> Result<bool, String> {
+        let mut got_data = false;
+        for (&name, is_open) in names.iter().zip(open) {
+            if !*is_open {
+                continue;
+            }
+            match self.receive(name)? {
+                DataMessage::Step { timestep, dataset } => {
+                    self.trace.record(
+                        self.task,
+                        0,
+                        EventKind::DataReceived {
+                            dataset: name.to_owned(),
+                            timestep,
+                        },
+                    );
+                    self.received_sums.push(dataset.sum());
+                    got_data = true;
+                }
+                DataMessage::EndOfStream => *is_open = false,
+            }
+        }
+        Ok(got_data)
+    }
+
+    fn check_injected_failure(&self, step: usize) -> Result<(), String> {
+        match self.fail_at_step {
+            Some(at) if at == step => Err(format!("injected failure at timestep {step}")),
+            _ => Ok(()),
+        }
     }
 }
 
-/// A task's executable behaviour; one instance is shared by all ranks.
-pub trait TaskBehavior: Send + Sync {
-    /// Run the task on one rank.  Returning an error marks the task failed.
-    fn run(&self, ctx: &mut TaskContext) -> Result<(), String>;
+/// What a task does with its datasets, decided by its data requirements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TaskRole {
+    /// Produces datasets and consumes none: per timestep, generate a random
+    /// array and publish it on every produced dataset.
+    Producer,
+    /// Consumes and produces: per round, drain one message from every open
+    /// input, then publish a fresh array downstream — the interior stage of
+    /// a chain or diamond.  It paces itself off its inputs (one publish
+    /// round per received data round), so every downstream consumer still
+    /// sees exactly `timesteps` messages per dataset.
+    Relay,
+    /// Everything else: receive every timestep of every consumed dataset,
+    /// sum it, and stop at end-of-stream.
+    Consumer,
 }
 
-/// The benchmark's producer: per timestep, generate a random array on every
-/// rank, reduce the sums to rank 0 and publish each produced dataset.
-#[derive(Debug, Default)]
-pub struct ProducerBehavior;
+impl TaskRole {
+    /// The role of a task.
+    pub(crate) fn of(task: &TaskSpec) -> TaskRole {
+        let produces = task.data.iter().any(|d| d.role == DataRole::Produces);
+        let consumes = task.data.iter().any(|d| d.role == DataRole::Consumes);
+        match (produces, consumes) {
+            (true, true) => TaskRole::Relay,
+            (true, false) => TaskRole::Producer,
+            _ => TaskRole::Consumer,
+        }
+    }
 
-impl TaskBehavior for ProducerBehavior {
-    fn run(&self, ctx: &mut TaskContext) -> Result<(), String> {
-        // Sorted so publish order (and with it the trace and any downstream
-        // arrival order) is a function of the spec, not of HashMap state.
-        let mut datasets: Vec<String> = ctx.outputs.keys().cloned().collect();
-        datasets.sort();
-        for t in 0..ctx.timesteps {
-            if ctx.fail_at_step == Some(t) {
-                return Err(format!("injected failure at timestep {t}"));
+    /// Run the task to the end.  Returning an error marks the task failed.
+    pub(crate) fn run(self, ctx: &mut TaskContext) -> Result<(), String> {
+        let inputs: Vec<&str> = ctx.inputs.keys().copied().collect();
+        let outputs: Vec<&str> = ctx.outputs.keys().copied().collect();
+        match self {
+            TaskRole::Producer => {
+                for t in 0..ctx.timesteps {
+                    ctx.check_injected_failure(t)?;
+                    ctx.publish_fresh(&outputs, t)?;
+                }
             }
-            let array: Vec<f32> = (0..ctx.elements).map(|_| ctx.rng.gen::<f32>()).collect();
-            let local_sum: f64 = array.iter().map(|&v| v as f64).sum();
-            let _total = ctx.reduce_sum(local_sum);
-            for name in &datasets {
-                ctx.publish(name, t, &array)?;
+            TaskRole::Relay | TaskRole::Consumer => {
+                let mut open = vec![true; inputs.len()];
+                let mut step = 0;
+                while open.contains(&true) {
+                    ctx.check_injected_failure(step)?;
+                    let got_data = ctx.receive_round(&inputs, &mut open)?;
+                    if got_data && self == TaskRole::Relay {
+                        ctx.publish_fresh(&outputs, step)?;
+                    }
+                    step += 1;
+                }
             }
         }
         ctx.close_outputs();
@@ -181,117 +225,8 @@ impl TaskBehavior for ProducerBehavior {
     }
 }
 
-/// The benchmark's consumer: receive every timestep of every consumed
-/// dataset, compute its sum, and stop at end-of-stream.
-#[derive(Debug, Default)]
-pub struct ConsumerBehavior;
-
-impl TaskBehavior for ConsumerBehavior {
-    fn run(&self, ctx: &mut TaskContext) -> Result<(), String> {
-        if ctx.rank != 0 {
-            return Ok(());
-        }
-        // Sorted so a consumer of several datasets drains them in a stable
-        // order and `received_sums` is deterministic run to run.
-        let mut datasets: Vec<String> = ctx.inputs.keys().cloned().collect();
-        datasets.sort();
-        let mut open: HashMap<String, bool> = datasets.iter().map(|d| (d.clone(), true)).collect();
-        let mut step = 0usize;
-        while open.values().any(|&o| o) {
-            if ctx.fail_at_step == Some(step) {
-                return Err(format!("injected failure at timestep {step}"));
-            }
-            for name in &datasets {
-                if !open[name] {
-                    continue;
-                }
-                match ctx.receive(name)? {
-                    DataMessage::Step { timestep, dataset } => {
-                        ctx.trace.record(
-                            &ctx.task,
-                            ctx.rank,
-                            EventKind::DataReceived {
-                                dataset: name.clone(),
-                                timestep,
-                            },
-                        );
-                        ctx.received_sums.push(dataset.sum());
-                    }
-                    DataMessage::EndOfStream => {
-                        open.insert(name.clone(), false);
-                    }
-                }
-            }
-            step += 1;
-        }
-        Ok(())
-    }
-}
-
-/// A task that both consumes and produces: per round, drain one message
-/// from every open input, then publish a fresh array downstream — the
-/// interior stage of a chain or diamond.  The relay paces itself entirely
-/// off its inputs (one publish round per received data round), so every
-/// downstream consumer still sees exactly `timesteps` messages per dataset
-/// without the relay needing its own step loop.
-#[derive(Debug, Default)]
-pub struct RelayBehavior;
-
-impl TaskBehavior for RelayBehavior {
-    fn run(&self, ctx: &mut TaskContext) -> Result<(), String> {
-        if ctx.rank != 0 {
-            return Ok(());
-        }
-        // Sorted like the other behaviours so receive and publish order are
-        // functions of the spec, not of HashMap state.
-        let mut inputs: Vec<String> = ctx.inputs.keys().cloned().collect();
-        inputs.sort();
-        let mut outputs: Vec<String> = ctx.outputs.keys().cloned().collect();
-        outputs.sort();
-        let mut open: HashMap<String, bool> = inputs.iter().map(|d| (d.clone(), true)).collect();
-        let mut step = 0usize;
-        while open.values().any(|&o| o) {
-            if ctx.fail_at_step == Some(step) {
-                return Err(format!("injected failure at timestep {step}"));
-            }
-            let mut got_data = false;
-            for name in &inputs {
-                if !open[name] {
-                    continue;
-                }
-                match ctx.receive(name)? {
-                    DataMessage::Step { timestep, dataset } => {
-                        ctx.trace.record(
-                            &ctx.task,
-                            ctx.rank,
-                            EventKind::DataReceived {
-                                dataset: name.clone(),
-                                timestep,
-                            },
-                        );
-                        ctx.received_sums.push(dataset.sum());
-                        got_data = true;
-                    }
-                    DataMessage::EndOfStream => {
-                        open.insert(name.clone(), false);
-                    }
-                }
-            }
-            if got_data {
-                let array: Vec<f32> = (0..ctx.elements).map(|_| ctx.rng.gen::<f32>()).collect();
-                for name in &outputs {
-                    ctx.publish(name, step, &array)?;
-                }
-            }
-            step += 1;
-        }
-        ctx.close_outputs();
-        Ok(())
-    }
-}
-
-/// Create the deterministic per-rank RNG used by behaviours.
-pub fn rank_rng(seed: u64, task: &str, rank: usize) -> StdRng {
+/// Create the deterministic per-rank RNG used by task roles.
+pub(crate) fn rank_rng(seed: u64, task: &str, rank: usize) -> StdRng {
     let mut hash = seed ^ 0x9e3779b97f4a7c15;
     for b in task.bytes() {
         hash = hash.wrapping_mul(31).wrapping_add(b as u64);
@@ -302,118 +237,101 @@ pub fn rank_rng(seed: u64, task: &str, rank: usize) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::bounded;
 
-    fn minimal_ctx(rank: usize, nprocs: usize, reduce: Arc<ReduceGroup>) -> TaskContext {
+    fn minimal_ctx<'a>(links: &'a mut [Link], trace: &'a ExecutionTrace) -> TaskContext<'a> {
         TaskContext {
-            task: "t".into(),
-            rank,
-            nprocs,
+            task: "t",
             timesteps: 1,
             elements: 4,
-            outputs: HashMap::new(),
-            inputs: HashMap::new(),
-            group_paths: HashMap::new(),
-            reduce,
-            trace: ExecutionTrace::new(),
-            rng: rank_rng(1, "t", rank),
-            timeout_ms: 100,
+            inputs: BTreeMap::new(),
+            outputs: BTreeMap::new(),
+            links,
+            trace,
+            rng: rank_rng(1, "t", 0),
             received_sums: Vec::new(),
             fail_at_step: None,
         }
     }
 
-    #[test]
-    fn reduce_sum_across_ranks() {
-        let reduce = Arc::new(ReduceGroup::new(3));
-        let handles: Vec<_> = (0..3)
-            .map(|rank| {
-                let reduce = reduce.clone();
-                std::thread::spawn(move || {
-                    let ctx = minimal_ctx(rank, 3, reduce);
-                    ctx.reduce_sum((rank + 1) as f64)
-                })
-            })
-            .collect();
-        let results: Vec<Option<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let root_total: Vec<f64> = results.iter().flatten().copied().collect();
-        assert_eq!(root_total, vec![6.0]);
-        assert_eq!(results.iter().filter(|r| r.is_none()).count(), 2);
+    fn grid_output(links: Vec<usize>) -> Output<'static> {
+        Output {
+            group_path: "/group1/grid",
+            links,
+        }
+    }
+
+    fn connected() -> Link {
+        Link {
+            connected: true,
+            ..Link::default()
+        }
     }
 
     #[test]
     fn publish_delivers_to_all_consumers() {
-        let reduce = Arc::new(ReduceGroup::new(1));
-        let mut ctx = minimal_ctx(0, 1, reduce);
-        let (tx1, rx1) = bounded(4);
-        let (tx2, rx2) = bounded(4);
-        ctx.outputs.insert("grid".into(), vec![tx1, tx2]);
+        let trace = ExecutionTrace::new();
+        let mut links = [connected(), connected()];
+        let mut ctx = minimal_ctx(&mut links, &trace);
+        ctx.outputs.insert("grid", grid_output(vec![0, 1]));
         ctx.publish("grid", 0, &[1.0, 2.0]).unwrap();
-        for rx in [rx1, rx2] {
-            match rx.recv().unwrap() {
+        for link in &links {
+            match &link.queue[0] {
                 DataMessage::Step { timestep, dataset } => {
-                    assert_eq!(timestep, 0);
+                    assert_eq!(*timestep, 0);
                     assert_eq!(dataset.to_f32(), vec![1.0, 2.0]);
                     assert_eq!(dataset.group_path, "/group1/grid");
                 }
                 other => panic!("unexpected message {other:?}"),
             }
         }
-        assert_eq!(ctx.trace.published_count("grid"), 1);
+        assert_eq!(trace.published_count("grid"), 1);
     }
 
     #[test]
-    fn non_root_rank_publish_is_a_noop() {
-        let reduce = Arc::new(ReduceGroup::new(2));
-        let mut ctx = minimal_ctx(1, 2, reduce);
-        let (tx, rx) = bounded(1);
-        ctx.outputs.insert("grid".into(), vec![tx]);
-        ctx.publish("grid", 0, &[1.0]).unwrap();
-        assert!(rx.try_recv().is_err());
+    fn publish_on_a_disconnected_link_fails_without_publishing() {
+        let trace = ExecutionTrace::new();
+        let mut links = [Link::default()];
+        let mut ctx = minimal_ctx(&mut links, &trace);
+        ctx.outputs.insert("grid", grid_output(vec![0]));
+        let err = ctx.publish("grid", 0, &[1.0]).unwrap_err();
+        assert!(err.contains("send of `grid` failed"), "{err}");
+        assert!(links[0].queue.is_empty());
+        assert_eq!(trace.published_count("grid"), 0);
     }
 
     #[test]
-    fn receive_times_out_when_no_producer() {
-        let reduce = Arc::new(ReduceGroup::new(1));
-        let mut ctx = minimal_ctx(0, 1, reduce);
-        let (_tx, rx) = bounded::<DataMessage>(1);
-        ctx.inputs.insert("grid".into(), rx);
-        ctx.timeout_ms = 10;
+    fn receive_fails_when_the_producer_sent_no_end_of_stream() {
+        let trace = ExecutionTrace::new();
+        let mut links = [connected()];
+        let mut ctx = minimal_ctx(&mut links, &trace);
+        ctx.inputs.insert("grid", 0);
         let err = ctx.receive("grid").unwrap_err();
-        assert!(err.contains("timed out"));
+        assert!(err.contains("producer failed"), "{err}");
     }
 
     #[test]
     fn receive_unknown_dataset_errors() {
-        let reduce = Arc::new(ReduceGroup::new(1));
-        let ctx = minimal_ctx(0, 1, reduce);
+        let trace = ExecutionTrace::new();
+        let mut ctx = minimal_ctx(&mut [], &trace);
         assert!(ctx.receive("missing").is_err());
     }
 
     #[test]
     fn rank_rng_is_deterministic_and_rank_dependent() {
-        let a: Vec<u32> = {
-            let mut r = rank_rng(7, "producer", 0);
+        let draw = |rank| -> Vec<u32> {
+            let mut r = rank_rng(7, "producer", rank);
             (0..4).map(|_| r.gen()).collect()
         };
-        let b: Vec<u32> = {
-            let mut r = rank_rng(7, "producer", 0);
-            (0..4).map(|_| r.gen()).collect()
-        };
-        let c: Vec<u32> = {
-            let mut r = rank_rng(7, "producer", 1);
-            (0..4).map(|_| r.gen()).collect()
-        };
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        assert_eq!(draw(0), draw(0));
+        assert_ne!(draw(0), draw(1));
     }
 
     #[test]
     fn producer_behavior_fails_when_injected() {
-        let reduce = Arc::new(ReduceGroup::new(1));
-        let mut ctx = minimal_ctx(0, 1, reduce);
+        let trace = ExecutionTrace::new();
+        let mut ctx = minimal_ctx(&mut [], &trace);
         ctx.fail_at_step = Some(0);
-        let err = ProducerBehavior.run(&mut ctx).unwrap_err();
+        let err = TaskRole::Producer.run(&mut ctx).unwrap_err();
         assert!(err.contains("injected failure"));
     }
 }

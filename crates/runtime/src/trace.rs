@@ -1,11 +1,11 @@
-//! Execution tracing: a thread-safe event log recorded while a workflow
-//! runs, used by tests, examples and the behavioural-correctness checks.
+//! Execution tracing: a shared event log recorded while a workflow runs,
+//! used by tests, examples and the behavioural-correctness checks.
 //!
 //! Beyond the raw log, [`TraceSummary`] condenses a trace into deterministic
 //! counts (per-dataset message totals, an event-kind histogram, per-task
 //! lifecycle tallies) that are identical across repeated runs of the same
-//! seed regardless of thread scheduling — the form the execution-validated
-//! evaluation compares against a reference run via
+//! seed whatever order the events were recorded in — the form the
+//! execution-validated evaluation compares against a reference run via
 //! [`TraceSummary::fidelity`].
 
 use std::collections::BTreeMap;
@@ -199,7 +199,7 @@ impl ExecutionTrace {
 
 /// Deterministic condensation of an [`ExecutionTrace`]: counts only, keyed
 /// by ordered maps, so two runs of the same workflow under the same seed
-/// produce *equal* summaries no matter how their threads interleaved.
+/// produce *equal* summaries whatever order their events were recorded in.
 ///
 /// This is the unit of comparison for execution-validated evaluation: a
 /// generated artifact's run is scored by how closely its summary matches the

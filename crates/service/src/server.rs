@@ -102,12 +102,11 @@ pub struct ServiceConfig {
     /// before being shed with a typed `"overloaded"` error. Zero sheds
     /// immediately whenever the queue is full.
     pub admission_timeout: std::time::Duration,
-    /// Maximum hypotheses per `mode: "execute"` request.  Unlike scoring
-    /// (sub-millisecond per hypothesis), each execution can legitimately
-    /// cost threads and — for stalling-but-valid specs — seconds of
-    /// sandbox timeout, so one oversized batch must not pin a shared
-    /// worker indefinitely; larger batches are rejected with an error and
-    /// should be split across pipelined requests.
+    /// Maximum hypotheses per `mode: "execute"` request.  Each execution
+    /// parses, validates and runs a whole workflow on the worker, so one
+    /// oversized batch must not pin a shared worker; larger batches are
+    /// rejected with an error and should be split across pipelined
+    /// requests.
     pub max_execute_batch: usize,
     /// How long [`shutdown`](ScoringServer::shutdown) waits for admitted
     /// work to finish (queue drained, in-flight jobs replied) before
@@ -273,9 +272,8 @@ impl ServiceState {
                      (`system` or `reference_id`)",
                 );
             };
-            // Executions cost real threads and (for stalling specs) real
-            // sandbox-timeout seconds each; bound what one request can pin
-            // a worker with.
+            // Each execution is a full parse and engine run on this worker;
+            // bound what one request can pin the worker with.
             if request.hypotheses.len() > self.max_execute_batch {
                 return ScoreResponse::failure(
                     request.id,

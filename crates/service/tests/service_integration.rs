@@ -203,6 +203,48 @@ fn malformed_and_unresolvable_requests_get_error_responses() {
 }
 
 #[test]
+fn deeply_nested_frame_gets_an_invalid_request_reply_and_the_server_keeps_serving() {
+    let server = ScoringServer::spawn("127.0.0.1:0", ServiceConfig::default()).unwrap();
+
+    use std::io::{BufRead, BufReader, Write};
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut read_response = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        serde_json::from_str::<serde::Value>(&line).unwrap()
+    };
+
+    // One megabyte of `[` on a single line: the decoder must refuse it
+    // instead of recursing a million levels on the reactor thread.
+    let mut frame = "[".repeat(1 << 20);
+    frame.push('\n');
+    (&stream).write_all(frame.as_bytes()).unwrap();
+    let response = read_response();
+    assert_eq!(response["id"].as_i64(), Some(0));
+    assert_eq!(response["ok"].as_bool(), Some(false));
+    let error = response["error"].as_str().unwrap();
+    assert!(error.starts_with("invalid request"), "{error}");
+    assert!(error.contains("nesting deeper than"), "{error}");
+
+    // The same connection, and a fresh client, still get scores.
+    (&stream)
+        .write_all(b"{\"id\": 7, \"task\": \"annotation\", \"system\": \"Parsl\", \"hypotheses\": [\"x\"]}\n")
+        .unwrap();
+    let response = read_response();
+    assert_eq!(response["id"].as_i64(), Some(7));
+    assert_eq!(response["ok"].as_bool(), Some(true));
+    let mut client = ScoringClient::connect(server.addr()).unwrap();
+    let scored = client
+        .score(TaskKind::Annotation, "Parsl", vec!["x".to_owned()])
+        .unwrap();
+    assert!(scored.ok, "{:?}", scored.error);
+
+    stream.shutdown(std::net::Shutdown::Both).unwrap();
+    server.shutdown();
+}
+
+#[test]
 fn served_scores_match_direct_scoring_for_every_builtin_reference() {
     let server = ScoringServer::spawn("127.0.0.1:0", ServiceConfig::default()).unwrap();
     let mut client = ScoringClient::connect(server.addr()).unwrap();
