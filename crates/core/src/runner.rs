@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -49,6 +49,20 @@ pub struct PreparedPair {
 /// two so the shard index is a mask of the key hash.
 const CACHE_SHARDS: usize = 16;
 
+/// Slots in a [`ReferenceCache`]'s doorkeeper of inline references. A
+/// power of two so the slot index is a mask of the key hash; 4096 slots of
+/// one `u64` each cost 32 KB.
+const DOORKEEPER_SLOTS: usize = 4096;
+
+/// When a prepared reference that missed is kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    /// On its first lookup.
+    FirstSighting,
+    /// On its second lookup, as remembered by the doorkeeper.
+    SecondSighting,
+}
+
 /// Caches [`PreparedPair`]s keyed by reference text.
 ///
 /// The paper's experiments reuse a handful of ground-truth artifacts across
@@ -64,6 +78,13 @@ const CACHE_SHARDS: usize = 16;
 /// counters, [`stats`](ReferenceCache::stats) reports exactly what the
 /// single-map cache reported, and the bounded variant caps the **total**
 /// entry count across all shards.
+///
+/// Reference text that a client sends inline goes through
+/// [`get_or_prepare_inline`](ReferenceCache::get_or_prepare_inline), which
+/// keeps a reference only on its second sighting: the doorkeeper of TinyLFU
+/// (Einziger, Friedman and Manes, ACM TOS 2017). The doorkeeper is a fixed
+/// direct-mapped array of text hashes, so a stream of one-off references
+/// costs the cache nothing but their preparation.
 #[derive(Debug)]
 pub struct ReferenceCache {
     shards: Vec<Mutex<HashMap<String, Arc<PreparedPair>>>>,
@@ -72,6 +93,10 @@ pub struct ReferenceCache {
     total_entries: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// The hash of the last inline reference seen in each slot, indexed by
+    /// bits of the hash the shard index does not use. Allocated on the
+    /// first inline lookup, so caches that never see one do not pay for it.
+    doorkeeper: OnceLock<Box<[AtomicU64]>>,
 }
 
 impl Default for ReferenceCache {
@@ -81,6 +106,7 @@ impl Default for ReferenceCache {
             total_entries: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            doorkeeper: OnceLock::new(),
         }
     }
 }
@@ -97,8 +123,8 @@ fn shard_hash(key: &str) -> u64 {
 }
 
 impl ReferenceCache {
-    fn shard(&self, reference: &str) -> &Mutex<HashMap<String, Arc<PreparedPair>>> {
-        &self.shards[(shard_hash(reference) as usize) & (CACHE_SHARDS - 1)]
+    fn shard(&self, hash: u64) -> &Mutex<HashMap<String, Arc<PreparedPair>>> {
+        &self.shards[(hash as usize) & (CACHE_SHARDS - 1)]
     }
 
     /// Fetch the prepared pair for `reference`, preparing it on first use.
@@ -114,16 +140,15 @@ impl ReferenceCache {
     /// Like [`get_or_prepare`](ReferenceCache::get_or_prepare), but never
     /// grows the cache beyond `max_entries` **total entries across all
     /// shards**: once full, unseen references are prepared and returned
-    /// without being cached (and keep counting as misses). Servers
-    /// accepting arbitrary client-supplied reference text use this to bound
-    /// memory.
+    /// without being cached. Servers accepting arbitrary client-supplied
+    /// reference text use this to bound memory.
     ///
     /// The expensive preparation runs outside any lock, so concurrent
     /// misses — even on references that hash to the same shard — prepare in
     /// parallel. Two threads racing on the *same* reference may both
-    /// prepare it; the loser adopts the winner's entry (and counts as a
-    /// hit), so `stats().misses` equals the number of distinct references
-    /// inserted.
+    /// prepare it; the loser adopts the winner's entry and counts as a hit.
+    /// Every other lookup that prepares counts as a miss, so a reference
+    /// the cap keeps out counts one miss per lookup.
     pub fn get_or_prepare_bounded(
         &self,
         bleu: &BleuScorer,
@@ -131,25 +156,70 @@ impl ReferenceCache {
         reference: &str,
         max_entries: usize,
     ) -> Arc<PreparedPair> {
-        let shard = self.shard(reference);
-        {
-            let entries = shard.lock();
-            if let Some(pair) = entries.get(reference) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(pair);
-            }
+        self.lookup(bleu, chrf, reference, max_entries, Admission::FirstSighting)
+    }
+
+    /// Like [`get_or_prepare_bounded`](ReferenceCache::get_or_prepare_bounded)
+    /// for reference text a client sent inline: a reference that misses is
+    /// kept only on its second sighting. The first sighting records the
+    /// text's hash in a fixed direct-mapped doorkeeper and returns the
+    /// prepared pair without keeping it, so a reference sent once never
+    /// occupies the cache. Both sightings count as misses.
+    pub fn get_or_prepare_inline(
+        &self,
+        bleu: &BleuScorer,
+        chrf: &ChrfScorer,
+        reference: &str,
+        max_entries: usize,
+    ) -> Arc<PreparedPair> {
+        self.lookup(
+            bleu,
+            chrf,
+            reference,
+            max_entries,
+            Admission::SecondSighting,
+        )
+    }
+
+    fn lookup(
+        &self,
+        bleu: &BleuScorer,
+        chrf: &ChrfScorer,
+        reference: &str,
+        max_entries: usize,
+        admission: Admission,
+    ) -> Arc<PreparedPair> {
+        let hash = shard_hash(reference);
+        if let Some(pair) = self.shard(hash).lock().get(reference) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(pair);
         }
         let pair = Arc::new(PreparedPair {
             bleu: bleu.prepare(reference),
             chrf: chrf.prepare(reference),
         });
-        let mut entries = shard.lock();
+        self.settle(hash, reference, pair, max_entries, admission)
+    }
+
+    /// Account for a lookup that prepared `pair`, and keep it if admitted.
+    fn settle(
+        &self,
+        hash: u64,
+        reference: &str,
+        pair: Arc<PreparedPair>,
+        max_entries: usize,
+        admission: Admission,
+    ) -> Arc<PreparedPair> {
+        let mut entries = self.shard(hash).lock();
         if let Some(existing) = entries.get(reference) {
             // Lost a race with another preparer; adopt its entry.
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(existing);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
+        if admission == Admission::SecondSighting && !self.seen_before(hash) {
+            return pair;
+        }
         // Reserve a global slot before inserting so the cap stays exact
         // across shards even when insertions race.
         let reserved = self
@@ -164,18 +234,29 @@ impl ReferenceCache {
         pair
     }
 
-    /// Number of distinct references prepared so far.
+    /// Record a sighting of the reference hashing to `hash` in the
+    /// doorkeeper; true when the slot already held that hash.
+    fn seen_before(&self, hash: u64) -> bool {
+        // The shard index uses the low bits; the slot takes high ones.
+        let slot = (hash >> 32) as usize & (DOORKEEPER_SLOTS - 1);
+        let doorkeeper = self
+            .doorkeeper
+            .get_or_init(|| (0..DOORKEEPER_SLOTS).map(|_| AtomicU64::new(0)).collect());
+        doorkeeper[slot].swap(hash, Ordering::Relaxed) == hash
+    }
+
+    /// Number of prepared references the cache keeps.
     pub fn len(&self) -> usize {
         self.total_entries.load(Ordering::SeqCst)
     }
 
-    /// True when nothing has been prepared yet.
+    /// True when the cache keeps no prepared reference.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Hit/miss counters accumulated over every
-    /// [`get_or_prepare`](ReferenceCache::get_or_prepare) lookup.
+    /// Hit/miss counters accumulated over every lookup, by any of the
+    /// `get_or_prepare` methods.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -627,6 +708,88 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 5, "the cap is a total across shards");
+    }
+
+    #[test]
+    fn one_off_inline_references_are_never_kept() {
+        let cache = ReferenceCache::default();
+        let bleu = BleuScorer::default();
+        let chrf = ChrfScorer::default();
+        for i in 0..100 {
+            let reference = format!("one-off reference {i}");
+            let pair = cache.get_or_prepare_inline(&bleu, &chrf, &reference, usize::MAX);
+            assert_eq!(pair.bleu.source(), reference);
+        }
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.stats().misses, 100);
+        assert_eq!(cache.stats().hits, 0);
+    }
+
+    #[test]
+    fn a_repeated_inline_reference_is_kept_from_its_second_lookup() {
+        let cache = ReferenceCache::default();
+        let bleu = BleuScorer::default();
+        let chrf = ChrfScorer::default();
+        cache.get_or_prepare_inline(&bleu, &chrf, "repeated", usize::MAX);
+        assert_eq!(cache.len(), 0, "first sighting: prepared, not kept");
+        let second = cache.get_or_prepare_inline(&bleu, &chrf, "repeated", usize::MAX);
+        assert_eq!(cache.len(), 1, "second sighting: kept");
+        let third = cache.get_or_prepare_inline(&bleu, &chrf, "repeated", usize::MAX);
+        assert!(Arc::ptr_eq(&second, &third));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (2, 1));
+        // A reference resolved by the caller is kept on its first lookup,
+        // and an inline lookup of the same text hits it.
+        cache.get_or_prepare_bounded(&bleu, &chrf, "built in", usize::MAX);
+        assert_eq!(cache.len(), 2);
+        cache.get_or_prepare_inline(&bleu, &chrf, "built in", usize::MAX);
+        assert_eq!(cache.stats().hits, 2);
+    }
+
+    #[test]
+    fn the_cap_still_bounds_inline_references_seen_twice() {
+        let cache = ReferenceCache::default();
+        let bleu = BleuScorer::default();
+        let chrf = ChrfScorer::default();
+        for i in 0..5 {
+            let reference = format!("repeated {i}");
+            cache.get_or_prepare_inline(&bleu, &chrf, &reference, 2);
+            cache.get_or_prepare_inline(&bleu, &chrf, &reference, 2);
+        }
+        assert_eq!(cache.len(), 2);
+        // A reference kept out by the cap misses on every lookup.
+        cache.get_or_prepare_inline(&bleu, &chrf, "repeated 4", 2);
+        assert_eq!(cache.stats().misses, 11);
+        assert_eq!(cache.stats().hits, 0);
+    }
+
+    #[test]
+    fn a_lost_preparation_race_counts_as_a_hit() {
+        // Replay the race in order: a lookup misses and prepares, another
+        // thread inserts the same reference meanwhile, then the first
+        // settles and adopts the winner's entry.
+        let cache = ReferenceCache::default();
+        let bleu = BleuScorer::default();
+        let chrf = ChrfScorer::default();
+        let reference = "raced reference";
+        let late = Arc::new(PreparedPair {
+            bleu: bleu.prepare(reference),
+            chrf: chrf.prepare(reference),
+        });
+        let winner = cache.get_or_prepare(&bleu, &chrf, reference);
+        for admission in [Admission::FirstSighting, Admission::SecondSighting] {
+            let adopted = cache.settle(
+                shard_hash(reference),
+                reference,
+                Arc::clone(&late),
+                usize::MAX,
+                admission,
+            );
+            assert!(Arc::ptr_eq(&adopted, &winner), "{admission:?}");
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 2));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -13,13 +13,16 @@
 //! * **Shared reference cache** — the server keeps one
 //!   [`ReferenceCache`](wfspeak_core::ReferenceCache) of prepared references
 //!   (tokenised, interned, n-gram-counted once) across *all* connections;
-//!   [`ServiceStats`] reports its hit rate.
+//!   an inline `reference_text` is kept from its second sighting, so
+//!   one-off references do not fill it. [`ServiceStats`] reports its hit
+//!   rate.
 //! * **Event-driven I/O** ([`server`], [`framing`]) — one nonblocking
 //!   event-loop thread (or a few, `ServiceConfig::io_threads`) multiplexes
 //!   every connection via the vendored `polling` shim (epoll/poll); each
-//!   connection is a state machine assembling frames zero-copy with
-//!   [`FrameDecoder`] over the vendored `bytes` crate, so thousands of
-//!   connections cost table entries, not thread pairs.
+//!   connection is a state machine assembling frames of at most
+//!   [`MAX_FRAME_BYTES`] with [`FrameDecoder`] over the vendored `bytes`
+//!   crate, so thousands of connections cost table entries, not thread
+//!   pairs.
 //! * **Bounded worker pool** ([`server`]) — scoring runs on a fixed pool fed
 //!   by a bounded queue; when the pool is saturated, the loop parks the
 //!   connection's request and mutes its read interest, pushing backpressure
@@ -97,7 +100,7 @@ pub mod server;
 
 pub use client::ScoringClient;
 pub use faults::{FaultAction, FaultInjector, FaultPlan, WriteFault};
-pub use framing::FrameDecoder;
+pub use framing::{Frame, FrameDecoder, MAX_FRAME_BYTES};
 pub use latency::LatencyHistogram;
 pub use protocol::{
     EvaluationScore, ExecutionScore, HypothesisScore, RequestMode, ScoreRequest, ScoreResponse,

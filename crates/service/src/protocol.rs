@@ -518,6 +518,8 @@ pub struct ScoreResponse {
     /// Machine-readable protocol-error class; `None` on success and for
     /// request-specific failures. `"overloaded"` means the server's bounded
     /// job queue was full and the request was shed — retry later.
+    /// `"frame-too-large"` means a request line passed the server's frame
+    /// limit and was skipped unread.
     pub error_kind: Option<String>,
     /// Per-hypothesis scores, in request order. Empty on failure, for
     /// `stats` requests and for `evaluate` requests (which fill
@@ -629,6 +631,19 @@ impl ScoreResponse {
                     "deadline of {deadline_ms}ms exceeded: request waited {waited_ms}ms \
                      before a worker picked it up"
                 ),
+            )
+        }
+    }
+
+    /// A typed oversized-frame response: a request line passed
+    /// `max_bytes`, so the server dropped it unread and skipped to its
+    /// newline. The id is 0, as for any line the server cannot parse.
+    pub fn frame_too_large(max_bytes: usize) -> Self {
+        ScoreResponse {
+            error_kind: Some("frame-too-large".to_owned()),
+            ..ScoreResponse::failure(
+                0,
+                format!("request line longer than {max_bytes} bytes; skipped to its newline"),
             )
         }
     }

@@ -39,7 +39,11 @@
 //! * All workers share one [`ReferenceCache`]: the first request against a
 //!   reference prepares it (tokenise + intern + count), every later request
 //!   from *any* connection reuses the prepared form. The cache is sharded
-//!   internally, so concurrent workers do not serialise on one lock.
+//!   internally, so concurrent workers do not serialise on one lock. An
+//!   inline `reference_text` is kept only from its second sighting.
+//! * A frame longer than [`MAX_FRAME_BYTES`] is never buffered whole: the
+//!   connection answers it with a typed `"frame-too-large"` error, skips
+//!   its bytes up to the next newline and keeps serving.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -60,7 +64,7 @@ use wfspeak_core::{ReferenceCache, WorkflowSystemId};
 use wfspeak_metrics::{BleuScorer, ChrfScorer, Scorer};
 
 use crate::faults::{FaultAction, FaultInjector, FaultPlan, WriteFault};
-use crate::framing::FrameDecoder;
+use crate::framing::{Frame, FrameDecoder, MAX_FRAME_BYTES};
 use crate::latency::LatencyHistogram;
 use crate::protocol::{
     decode_line, encode_line, salvage_request_id, EvaluationScore, ExecutionScore, HypothesisScore,
@@ -86,6 +90,12 @@ pub struct ServiceConfig {
     /// built-in corpus references always fit; the cap bounds memory when
     /// clients stream arbitrary `reference_text` values — beyond it, unseen
     /// references are prepared per request without being retained.
+    ///
+    /// References the server resolves itself (`reference_id`, or `task`
+    /// plus `system`) are kept from their first sighting. An inline
+    /// `reference_text` is kept only from its second: a fixed
+    /// direct-mapped doorkeeper of text hashes remembers the first, so a
+    /// reference sent once is prepared for its request and dropped.
     pub max_cached_references: usize,
     /// How long a worker waits to hand a response to a connection whose
     /// reply buffer is full before disconnecting that client (a client that
@@ -315,7 +325,16 @@ impl ServiceState {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.hypotheses
             .fetch_add(request.hypotheses.len() as u64, Ordering::Relaxed);
-        let prepared = self.cache.get_or_prepare_bounded(
+        // The server resolves `reference_id` and `task` + `system` to its
+        // own references and keeps them at once; inline text is kept only
+        // once it repeats.
+        let lookup = if request.reference_text.is_some() {
+            ReferenceCache::get_or_prepare_inline
+        } else {
+            ReferenceCache::get_or_prepare_bounded
+        };
+        let prepared = lookup(
+            &self.cache,
             &self.bleu,
             &self.chrf,
             reference,
@@ -1091,8 +1110,16 @@ impl LoopCtx {
             if conn.dead || conn.pending.is_some() {
                 return;
             }
-            let frame = match conn.decoder.next_frame() {
-                Some(frame) => frame,
+            let frame = match conn.decoder.pop() {
+                Some(Frame::Line(frame)) => frame,
+                Some(Frame::TooLarge) => {
+                    // The decoder dropped the line unread, so it has no
+                    // id: answer with id 0 here, without a worker, and
+                    // keep reading.
+                    let reply = ScoreResponse::frame_too_large(MAX_FRAME_BYTES);
+                    conn.out.push_back(OutSegment::line(encode_line(&reply)));
+                    continue;
+                }
                 None => {
                     if !conn.read_closed {
                         return;
@@ -1340,30 +1367,28 @@ mod tests {
             ..ServiceConfig::default()
         })
         .unwrap();
-        assert!(
-            state
-                .handle(&ScoreRequest::by_text(1, "ref a", vec!["x".into()]))
-                .ok
-        );
-        // Distinct text beyond the cap: still scored, never retained.
-        assert!(
-            state
-                .handle(&ScoreRequest::by_text(2, "ref b", vec!["x".into()]))
-                .ok
-        );
-        assert!(
-            state
-                .handle(&ScoreRequest::by_text(3, "ref b", vec!["x".into()]))
-                .ok
-        );
+        let score = |id, reference: &str| {
+            assert!(
+                state
+                    .handle(&ScoreRequest::by_text(id, reference, vec!["x".into()]))
+                    .ok
+            );
+        };
+        // Inline text is kept from its second sighting.
+        score(1, "ref a");
+        assert_eq!(state.cache.len(), 0);
+        score(2, "ref a");
+        assert_eq!(state.cache.len(), 1);
+        // Distinct text beyond the cap: still scored, never retained, even
+        // when it repeats.
+        score(3, "ref b");
+        score(4, "ref b");
+        score(5, "ref b");
+        assert_eq!(state.cache.len(), 1);
         // The capped entry keeps hitting.
-        assert!(
-            state
-                .handle(&ScoreRequest::by_text(4, "ref a", vec!["x".into()]))
-                .ok
-        );
+        score(6, "ref a");
         let stats = state.stats();
-        assert_eq!(stats.cache_misses, 3, "a once, uncacheable b twice");
+        assert_eq!(stats.cache_misses, 5, "a twice, uncacheable b three times");
         assert_eq!(stats.cache_hits, 1);
     }
 
@@ -1475,25 +1500,18 @@ mod tests {
     fn evaluate_requests_share_the_cache_with_score_requests() {
         let state = ServiceState::new(&ServiceConfig::default()).unwrap();
         let reference = "henson_yield();";
-        assert!(
-            state
-                .handle(&ScoreRequest::by_text(1, reference, vec!["x".into()]))
-                .ok
-        );
-        assert!(
-            state
-                .handle(&ScoreRequest::evaluate_text(
-                    2,
-                    reference,
-                    "Henson",
-                    vec!["x".into()]
-                ))
-                .ok
-        );
+        let score = ScoreRequest::by_text(1, reference, vec!["x".into()]);
+        let evaluate = ScoreRequest::evaluate_text(2, reference, "Henson", vec!["x".into()]);
+        // The score request sees the inline text first, the evaluate
+        // request second and keeps it; both later requests hit it.
+        for request in [&score, &evaluate, &score, &evaluate] {
+            assert!(state.handle(request).ok);
+        }
         let stats = state.stats();
-        assert_eq!(stats.cache_misses, 1, "one shared preparation");
-        assert_eq!(stats.cache_hits, 1, "the evaluate request hit it");
-        assert_eq!(stats.requests, 2);
+        assert_eq!(stats.cache_misses, 2, "kept from the second sighting");
+        assert_eq!(stats.cache_hits, 2, "one shared preparation");
+        assert_eq!(stats.requests, 4);
+        assert_eq!(state.cache.len(), 1);
     }
 
     #[test]
