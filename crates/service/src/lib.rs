@@ -90,6 +90,7 @@
 //! server.shutdown();
 //! ```
 
+mod affinity;
 pub mod client;
 pub mod faults;
 pub mod framing;

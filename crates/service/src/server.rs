@@ -35,7 +35,9 @@
 //!   pipelines without reading stalls its channel for
 //!   [`ServiceConfig::reply_stall_timeout`] and is then disconnected. After
 //!   every reply the worker pushes a completion token and wakes the
-//!   connection's I/O loop to flush.
+//!   connection's I/O loop to flush. When the pool has a worker for every
+//!   CPU, each worker is pinned to a CPU of its own, so two busy workers
+//!   never share one CPU while another idles.
 //! * All workers share one [`ReferenceCache`]: the first request against a
 //!   reference prepares it (tokenise + intern + count), every later request
 //!   from *any* connection reuses the prepared form. The cache is sharded
@@ -63,6 +65,7 @@ use wfspeak_core::exec::ExecutionPipeline;
 use wfspeak_core::{ReferenceCache, WorkflowSystemId};
 use wfspeak_metrics::{BleuScorer, ChrfScorer, Scorer};
 
+use crate::affinity;
 use crate::faults::{FaultAction, FaultInjector, FaultPlan, WriteFault};
 use crate::framing::{Frame, FrameDecoder, MAX_FRAME_BYTES};
 use crate::latency::LatencyHistogram;
@@ -77,7 +80,10 @@ const LISTENER_KEY: usize = usize::MAX - 1;
 /// Tunables for [`ScoringServer::spawn`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Scoring worker threads. `0` means one per available core.
+    /// Scoring worker threads. `0` means one per available core. A pool
+    /// with a worker for every CPU the server may run on pins each worker
+    /// to a CPU of its own, in turn; a smaller pool is left to the
+    /// scheduler.
     pub workers: usize,
     /// Nonblocking I/O loop threads multiplexing the connections. Loop 0
     /// also owns the listener; new connections are dealt round-robin.
@@ -533,14 +539,16 @@ impl ScoringServer {
         // dequeueing only — scoring itself runs in parallel.
         let job_rx = Arc::new(Mutex::new(job_rx));
 
-        let worker_handles = (0..config.effective_workers())
-            .map(|_| {
+        let workers = config.effective_workers();
+        let worker_handles = (0..workers)
+            .map(|index| {
                 let state = Arc::clone(&state);
                 let job_rx = Arc::clone(&job_rx);
                 let shared = Arc::clone(&shared);
                 let loops = loops.clone();
                 let stall_timeout = config.reply_stall_timeout;
                 std::thread::spawn(move || {
+                    affinity::pin_worker(index, workers);
                     worker_loop(&state, &job_rx, stall_timeout, &shared, &loops)
                 })
             })
