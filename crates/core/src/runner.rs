@@ -39,10 +39,20 @@ use crate::result::ExperimentResult;
 /// A reference prepared for both metrics.
 #[derive(Debug)]
 pub struct PreparedPair {
-    /// BLEU-prepared reference (interned tokens, packed `u64` counts).
+    /// BLEU-prepared reference: interned tokens, and a table from each
+    /// distinct word n-gram (packed into a `u64`) to a slot and its count.
+    /// Hypotheses are scored by probing it, never counted into maps.
     pub bleu: PreparedReference,
-    /// ChrF-prepared reference (packed `u128` char counts).
+    /// ChrF-prepared reference: the same table over char n-grams packed
+    /// into `u128` keys.
     pub chrf: PreparedReference,
+}
+
+impl PreparedPair {
+    /// Heap bytes both prepared references hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.bleu.heap_bytes() + self.chrf.heap_bytes()
+    }
 }
 
 /// Number of independent lock shards in a [`ReferenceCache`]. A power of
@@ -53,6 +63,13 @@ const CACHE_SHARDS: usize = 16;
 /// power of two so the slot index is a mask of the key hash; 4096 slots of
 /// one `u64` each cost 32 KB.
 const DOORKEEPER_SLOTS: usize = 4096;
+
+/// Heap bytes the inline references a [`ReferenceCache`] keeps may hold in
+/// total, each charged its text plus [`PreparedPair::heap_bytes`]. The
+/// 2.2 KB ADIOS2 producer reference is charged about 307 KB, so this keeps
+/// about 13 references of that size. References the caller resolves itself
+/// are not charged.
+pub const INLINE_BUDGET_BYTES: usize = 4 << 20;
 
 /// When a prepared reference that missed is kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,13 +101,19 @@ enum Admission {
 /// keeps a reference only on its second sighting: the doorkeeper of TinyLFU
 /// (Einziger, Friedman and Manes, ACM TOS 2017). The doorkeeper is a fixed
 /// direct-mapped array of text hashes, so a stream of one-off references
-/// costs the cache nothing but their preparation.
+/// costs the cache nothing but their preparation. Kept inline references
+/// are also charged their heap bytes against [`INLINE_BUDGET_BYTES`]; once
+/// it is spent, further inline references are prepared per lookup and not
+/// kept, as at the entry cap.
 #[derive(Debug)]
 pub struct ReferenceCache {
     shards: Vec<Mutex<HashMap<String, Arc<PreparedPair>>>>,
     /// Total entries across every shard; insertions reserve a slot through
     /// a compare-and-swap so the bound is exact even under contention.
     total_entries: AtomicUsize,
+    /// Heap bytes charged to the inline references kept, reserved together
+    /// with their entry slots.
+    inline_bytes: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     /// The hash of the last inline reference seen in each slot, indexed by
@@ -104,6 +127,7 @@ impl Default for ReferenceCache {
         ReferenceCache {
             shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
             total_entries: AtomicUsize::new(0),
+            inline_bytes: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             doorkeeper: OnceLock::new(),
@@ -120,6 +144,15 @@ fn shard_hash(key: &str) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// Add `amount` to `counter` if the sum stays within `limit`.
+fn reserve(counter: &AtomicUsize, amount: usize, limit: usize) -> bool {
+    counter
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |used| {
+            used.checked_add(amount).filter(|&total| total <= limit)
+        })
+        .is_ok()
 }
 
 impl ReferenceCache {
@@ -164,7 +197,9 @@ impl ReferenceCache {
     /// kept only on its second sighting. The first sighting records the
     /// text's hash in a fixed direct-mapped doorkeeper and returns the
     /// prepared pair without keeping it, so a reference sent once never
-    /// occupies the cache. Both sightings count as misses.
+    /// occupies the cache. Both sightings count as misses. A kept inline
+    /// reference is charged its heap bytes against
+    /// [`INLINE_BUDGET_BYTES`], and one that no longer fits is not kept.
     pub fn get_or_prepare_inline(
         &self,
         bleu: &BleuScorer,
@@ -217,19 +252,24 @@ impl ReferenceCache {
             return Arc::clone(existing);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if admission == Admission::SecondSighting && !self.seen_before(hash) {
-            return pair;
-        }
-        // Reserve a global slot before inserting so the cap stays exact
-        // across shards even when insertions race.
-        let reserved = self
-            .total_entries
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |total| {
-                (total < max_entries).then_some(total + 1)
-            })
-            .is_ok();
-        if reserved {
-            entries.insert(reference.to_owned(), Arc::clone(&pair));
+        let charge = match admission {
+            Admission::FirstSighting => 0,
+            Admission::SecondSighting => {
+                if !self.seen_before(hash) {
+                    return pair;
+                }
+                reference.len() + pair.heap_bytes()
+            }
+        };
+        // Reserve a global slot and the bytes before inserting so both
+        // bounds stay exact across shards even when insertions race; a
+        // slot whose bytes do not fit is handed back.
+        if reserve(&self.total_entries, 1, max_entries) {
+            if reserve(&self.inline_bytes, charge, INLINE_BUDGET_BYTES) {
+                entries.insert(reference.to_owned(), Arc::clone(&pair));
+            } else {
+                self.total_entries.fetch_sub(1, Ordering::SeqCst);
+            }
         }
         pair
     }
@@ -243,6 +283,12 @@ impl ReferenceCache {
             .doorkeeper
             .get_or_init(|| (0..DOORKEEPER_SLOTS).map(|_| AtomicU64::new(0)).collect());
         doorkeeper[slot].swap(hash, Ordering::Relaxed) == hash
+    }
+
+    /// Heap bytes charged to the inline references the cache keeps; never
+    /// more than [`INLINE_BUDGET_BYTES`].
+    pub fn inline_bytes(&self) -> usize {
+        self.inline_bytes.load(Ordering::SeqCst)
     }
 
     /// Number of prepared references the cache keeps.
@@ -761,6 +807,104 @@ mod tests {
         cache.get_or_prepare_inline(&bleu, &chrf, "repeated 4", 2);
         assert_eq!(cache.stats().misses, 11);
         assert_eq!(cache.stats().hits, 0);
+    }
+
+    /// About 20 KB of code-like reference text, unique to `seed`.
+    fn large_reference(seed: usize) -> String {
+        let mut text = format!("// reference {seed}\n");
+        for line in 0.. {
+            if text.len() >= 20_000 {
+                break;
+            }
+            text.push_str(&format!(
+                "    let value_{line} = producer_{seed}(step + {line}, &buffer[{line}..]);\n"
+            ));
+        }
+        text
+    }
+
+    /// Look up inline references, each twice, until one is no longer kept.
+    fn fill_inline_budget(cache: &ReferenceCache, bleu: &BleuScorer, chrf: &ChrfScorer) {
+        for seed in 0.. {
+            let before = cache.len();
+            let reference = large_reference(seed);
+            cache.get_or_prepare_inline(bleu, chrf, &reference, usize::MAX);
+            cache.get_or_prepare_inline(bleu, chrf, &reference, usize::MAX);
+            if cache.len() == before {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn inline_references_seen_twice_stay_within_the_byte_budget() {
+        let cache = ReferenceCache::default();
+        let bleu = BleuScorer::default();
+        let chrf = ChrfScorer::default();
+        let mut kept_bytes = 0;
+        for seed in 0..1_000 {
+            let reference = large_reference(seed);
+            let before = cache.len();
+            cache.get_or_prepare_inline(&bleu, &chrf, &reference, usize::MAX);
+            let pair = cache.get_or_prepare_inline(&bleu, &chrf, &reference, usize::MAX);
+            if cache.len() > before {
+                kept_bytes += reference.len() + pair.heap_bytes();
+            }
+            assert!(cache.inline_bytes() <= INLINE_BUDGET_BYTES, "{seed}");
+        }
+        assert!(!cache.is_empty(), "the budget keeps at least one");
+        assert_eq!(
+            cache.inline_bytes(),
+            kept_bytes,
+            "each kept entry charged once"
+        );
+        assert_eq!(cache.stats().misses, 2_000);
+    }
+
+    #[test]
+    fn a_resolved_reference_is_kept_when_the_inline_budget_is_full() {
+        let cache = ReferenceCache::default();
+        let bleu = BleuScorer::default();
+        let chrf = ChrfScorer::default();
+        fill_inline_budget(&cache, &bleu, &chrf);
+        let (kept, charged) = (cache.len(), cache.inline_bytes());
+        let built_in = large_reference(usize::MAX);
+        cache.get_or_prepare_bounded(&bleu, &chrf, &built_in, usize::MAX);
+        assert_eq!(cache.len(), kept + 1);
+        assert_eq!(
+            cache.inline_bytes(),
+            charged,
+            "resolved references are not charged"
+        );
+        cache.get_or_prepare_bounded(&bleu, &chrf, &built_in, usize::MAX);
+        assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn a_repeated_inline_reference_scores_identically_once_the_budget_is_full() {
+        let cache = ReferenceCache::default();
+        let bleu = BleuScorer::default();
+        let chrf = ChrfScorer::default();
+        fill_inline_budget(&cache, &bleu, &chrf);
+        let kept = cache.len();
+        // Twice the text of a reference like the one the budget just turned
+        // away, so it cannot fit either.
+        let reference = large_reference(usize::MAX).repeat(2);
+        let hypothesis = reference.replace("step", "t");
+        for _ in 0..3 {
+            let misses = cache.stats().misses;
+            let pair = cache.get_or_prepare_inline(&bleu, &chrf, &reference, usize::MAX);
+            assert_eq!(cache.stats().misses, misses + 1, "not cached");
+            assert_eq!(
+                bleu.score_prepared(&hypothesis, &pair.bleu).to_bits(),
+                bleu.score(&hypothesis, &reference).to_bits()
+            );
+            assert_eq!(
+                chrf.score_prepared(&hypothesis, &pair.chrf).to_bits(),
+                chrf.score(&hypothesis, &reference).to_bits()
+            );
+        }
+        assert_eq!(cache.len(), kept);
     }
 
     #[test]

@@ -103,8 +103,8 @@ impl BleuScorer {
     /// Compute BLEU against an already-prepared reference.
     ///
     /// Falls back to re-preparing from the retained source text when the
-    /// prepared data was built by an incompatible scorer configuration or
-    /// when the packed representation could not hold the input.
+    /// prepared data was built by an incompatible scorer configuration, and
+    /// to the naive path when the packed keys could not hold the reference.
     pub fn breakdown_prepared(
         &self,
         hypothesis: &str,
@@ -115,7 +115,7 @@ impl BleuScorer {
                 if let Some((stats, hyp_len)) = prepared.overlap_stats(hypothesis) {
                     return self.breakdown_from_stats(&stats, hyp_len, prepared.len);
                 }
-                // Packed id space overflowed: naive fallback, same math.
+                // The reference overflowed the packed keys: naive, same math.
                 return self.breakdown_naive(hypothesis, reference.source());
             }
         }
@@ -125,8 +125,8 @@ impl BleuScorer {
 
     /// The seed implementation: tokenize both sides and count n-grams with
     /// `Vec<String>`-keyed maps per order. Kept as the differential-testing
-    /// baseline for the packed fast path (and as the fallback for inputs the
-    /// packed keys cannot represent).
+    /// baseline for the packed fast path (and as the fallback for references
+    /// the packed keys cannot represent).
     pub fn breakdown_naive(&self, hypothesis: &str, reference: &str) -> BleuBreakdown {
         let hyp = self.tokens(hypothesis);
         let rf = self.tokens(reference);

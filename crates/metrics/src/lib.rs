@@ -39,32 +39,32 @@
 //!   n-gram window is materialised as a `Vec<String>`/`Vec<char>` key into a
 //!   SipHash map, and the reference is re-tokenised and re-counted per call.
 //!   Kept as the obviously-correct baseline.
-//! * **Packed fast path** (the default behind [`Scorer::score`]) — BLEU
-//!   word tokens are interned to dense `u32` ids
-//!   ([`prepared::Interner`]) and word n-grams (n ≤ 4) are packed 16
-//!   bits/token into a single `u64`; ChrF char n-grams (n ≤ 6) are packed
-//!   21 bits/char into a `u128`. Counting uses FxHash-style integer maps
-//!   ([`ngram::PackedCounts`]) — no per-window allocation, no SipHash.
 //! * **Prepared references** ([`PreparedReference`], built with
-//!   [`Scorer::prepare`]) — the reference side is normalised, tokenised,
-//!   interned and counted **once**, then shared across every hypothesis
-//!   scored against it via [`Scorer::score_prepared`]. The benchmark runner
-//!   caches one prepared reference per experiment cell row.
+//!   [`Scorer::prepare`]) — the reference is normalised, tokenised and
+//!   counted **once** into a [`ngram::ReferenceNgrams`] table: BLEU word
+//!   n-grams (n ≤ 4) of interned token ids ([`prepared::Interner`]) packed
+//!   16 bits/token into a `u64`, ChrF char n-grams (n ≤ 6) packed 21
+//!   bits/char into a `u128`, each distinct n-gram mapped to a slot and its
+//!   count in an FxHash-style integer map. The benchmark runner caches one
+//!   prepared reference per experiment cell row.
+//! * **Probe-only matching** (behind [`Scorer::score`] and
+//!   [`Scorer::score_prepared`]) — a hypothesis is never counted into maps
+//!   of its own. One pass of a rolling packed key probes orders 1, 2, … at
+//!   each position and stops at the first miss (the low `n` units of a
+//!   reference `(n + 1)`-gram are a reference `n`-gram); a hit counts a
+//!   match while a per-call counter for its slot stays within the
+//!   reference count, which sums `min(hyp, ref)` exactly. A hypothesis
+//!   token the reference lacks breaks the window, so scoring inserts
+//!   nothing and hypotheses of any vocabulary stay on this path.
 //!
 //! The two paths are bit-identical: both reduce to the same integer
 //! [`ngram::OverlapStats`] per order and share one floating-point scoring
 //! tail; `crates/metrics/tests/property_tests.rs` pins the equivalence on
 //! arbitrary inputs (including >6-bit alphabets and non-BMP Unicode).
-//! Inputs the packed keys cannot represent (≥ 2¹⁶ distinct tokens) fall
-//! back to the naive path automatically.
-//!
-//! Measured with the `metrics_fastpath` criterion bench in `crates/bench`
-//! (35 scorings over the paper's real reference artifacts per iteration; see
-//! that bench for the exact setup): BLEU drops from ~16.7 ms to ~1.0 ms per
-//! iteration (**≈16×**) and ChrF from ~24.7 ms to ~2.3 ms (**≈11×**) with
-//! prepared references; even without reference reuse the packed counting
-//! alone is ≈6.7× for BLEU. `repro bench` records end-to-end grid throughput
-//! in `BENCH_1.json` so future changes have a trajectory to compare against.
+//! References the packed keys cannot represent (≥ 2¹⁶ distinct tokens, or
+//! orders beyond the packed width) fall back to the naive path
+//! automatically. [`PreparedReference::heap_bytes`] reports what a
+//! prepared reference holds, so caches of client references can budget it.
 
 pub mod bleu;
 pub mod chrf;

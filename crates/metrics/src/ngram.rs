@@ -1,22 +1,27 @@
 //! N-gram extraction and counting shared by BLEU and ChrF.
 //!
-//! Two families of multisets live here:
+//! Two n-gram representations live here:
 //!
 //! * [`NgramCounts`] — the straightforward reference implementation keying a
 //!   `HashMap` by `Vec<T>` windows. Simple, obviously correct, and the
 //!   differential-testing baseline for the fast path.
-//! * [`PackedCounts`] — the zero-allocation fast path: n-grams are packed
-//!   into a single integer key (`u64` for interned word ids, `u128` for
-//!   chars) and counted in an FxHash-style map, so the hot loop performs no
-//!   per-window heap allocation and no SipHash rounds.
+//! * [`ReferenceNgrams`] — the fast path's reference-only table: each
+//!   distinct reference n-gram is packed into a single integer key (`u64`
+//!   for interned word ids, `u128` for chars) that maps to a slot and its
+//!   reference count. A hypothesis is never counted into a map of its own:
+//!   [`ReferenceNgrams::overlap_stats`] probes its n-grams against the
+//!   table in one pass and clips matches with a per-call counter per slot,
+//!   so scoring allocates no per-window keys and inserts nothing.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Multiplicative hasher in the style of rustc's FxHash: one multiply and a
 /// rotate per word, far cheaper than the default SipHash for the small
-/// integer keys the packed n-gram maps use. Not DoS-resistant — these maps
-/// only ever hold benchmark-internal keys.
+/// integer keys the packed n-gram maps use. Not DoS-resistant, and the maps
+/// do hold client input: the scoring server prepares the `reference_text`
+/// a client sends, so a reference's tokens and n-grams are inserted here.
+/// Client hypotheses are only looked up, never inserted.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -47,11 +52,6 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    fn write_u32(&mut self, value: u32) {
-        self.add_word(value as u64);
-    }
-
-    #[inline]
     fn write_u64(&mut self, value: u64) {
         self.add_word(value);
     }
@@ -60,11 +60,6 @@ impl Hasher for FxHasher {
     fn write_u128(&mut self, value: u128) {
         self.add_word(value as u64);
         self.add_word((value >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, value: usize) {
-        self.add_word(value as u64);
     }
 }
 
@@ -80,54 +75,58 @@ pub trait PackedKey: Copy + Eq + Hash + Default {
     fn mask_low(self, bits: u32) -> Self;
 }
 
-impl PackedKey for u64 {
-    #[inline]
-    fn shift_in(self, unit: u64, bits: u32) -> Self {
-        (self << bits) | unit
-    }
+macro_rules! packed_key {
+    ($($key:ty),*) => {$(
+        impl PackedKey for $key {
+            #[inline]
+            fn shift_in(self, unit: u64, bits: u32) -> Self {
+                (self << bits) | unit as $key
+            }
 
-    #[inline]
-    fn mask_low(self, bits: u32) -> Self {
-        if bits >= 64 {
-            self
-        } else {
-            self & ((1u64 << bits) - 1)
+            #[inline]
+            fn mask_low(self, bits: u32) -> Self {
+                if bits >= <$key>::BITS {
+                    self
+                } else {
+                    self & ((1 << bits) - 1)
+                }
+            }
         }
-    }
+    )*};
 }
 
-impl PackedKey for u128 {
-    #[inline]
-    fn shift_in(self, unit: u64, bits: u32) -> Self {
-        (self << bits) | unit as u128
-    }
+packed_key!(u64, u128);
 
-    #[inline]
-    fn mask_low(self, bits: u32) -> Self {
-        if bits >= 128 {
-            self
-        } else {
-            self & ((1u128 << bits) - 1)
-        }
-    }
+/// A reference n-gram's entry. Both fields fit in the alignment padding
+/// beside a `u64` or `u128` key, so an entry is as large as a key with a
+/// single `u32` count.
+#[derive(Debug, Clone, Copy)]
+struct Gram {
+    /// Index into the per-call counters of [`ReferenceNgrams::overlap_stats`].
+    slot: u32,
+    /// How often the reference contains the n-gram.
+    count: u32,
 }
 
-/// Per-order n-gram multisets over packed integer keys: the zero-allocation
-/// counterpart of [`NgramCounts`] used by the prepared-reference fast path.
+/// The prepared-reference side of the fast path: per order, every distinct
+/// reference n-gram packed into an integer key, mapped to its slot among
+/// the distinct n-grams of every order and its reference count.
 ///
 /// A sequence of units (interned token ids, or chars) is folded into a
 /// rolling key; for every order `n` in `1..=max_order` the low `n *
-/// unit_bits` bits of the key at each position *are* the n-gram, so counting
-/// needs no per-window allocation at all.
+/// unit_bits` bits of the key at each position *are* the n-gram, so neither
+/// building the table nor probing it allocates per window.
 #[derive(Debug, Clone)]
-pub struct PackedCounts<K: PackedKey> {
+pub struct ReferenceNgrams<K: PackedKey> {
     unit_bits: u32,
     len: usize,
-    /// `orders[n - 1]` maps packed n-grams of order `n` to their count.
-    orders: Vec<FxHashMap<K, u32>>,
+    /// `orders[n - 1]` maps packed n-grams of order `n` to their entry.
+    orders: Vec<FxHashMap<K, Gram>>,
+    /// Distinct n-grams over all orders; slots are `0..slots`.
+    slots: u32,
 }
 
-impl<K: PackedKey> PackedCounts<K> {
+impl<K: PackedKey> ReferenceNgrams<K> {
     /// Count all n-grams of order `1..=max_order` over `units` in one pass.
     ///
     /// Every unit must fit in `unit_bits` bits and `max_order * unit_bits`
@@ -135,85 +134,108 @@ impl<K: PackedKey> PackedCounts<K> {
     /// ids × 4 orders for BLEU's `u64`, 21-bit chars × 6 orders for ChrF's
     /// `u128`).
     pub fn from_units(units: impl Iterator<Item = u64>, unit_bits: u32, max_order: usize) -> Self {
-        let mut orders: Vec<FxHashMap<K, u32>> =
+        let mut orders: Vec<FxHashMap<K, Gram>> =
             (0..max_order).map(|_| FxHashMap::default()).collect();
-        let mut rolling = K::default();
-        let mut len = 0usize;
+        let (mut rolling, mut len, mut slots) = (K::default(), 0usize, 0u32);
         for unit in units {
             debug_assert!(unit_bits >= 64 || unit < (1u64 << unit_bits));
             rolling = rolling.shift_in(unit, unit_bits);
             len += 1;
-            let max_n = max_order.min(len);
-            for (idx, order_map) in orders.iter_mut().take(max_n).enumerate() {
+            for (idx, order) in orders.iter_mut().take(len).enumerate() {
                 let key = rolling.mask_low((idx as u32 + 1) * unit_bits);
-                *order_map.entry(key).or_insert(0) += 1;
+                // A new entry, still at count 0, takes the next slot.
+                let gram = order.entry(key).or_insert(Gram {
+                    slot: slots,
+                    count: 0,
+                });
+                slots += u32::from(gram.count == 0);
+                gram.count += 1;
             }
         }
-        PackedCounts {
+        ReferenceNgrams {
             unit_bits,
             len,
             orders,
+            slots,
         }
     }
 
-    /// Number of units counted.
-    pub fn len(&self) -> usize {
+    /// Number of reference units counted.
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// True when no units were counted.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Bits per unit in the packed keys.
-    pub fn unit_bits(&self) -> u32 {
-        self.unit_bits
-    }
-
-    /// Highest counted order.
-    pub fn max_order(&self) -> usize {
-        self.orders.len()
-    }
-
-    /// Total number of n-grams of order `n` (with multiplicity).
+    /// Total number of reference n-grams of order `n ≥ 1` (with
+    /// multiplicity).
     pub fn total(&self, n: usize) -> usize {
-        if n == 0 || n > self.len {
-            0
-        } else {
-            self.len - n + 1
+        (self.len + 1).saturating_sub(n)
+    }
+
+    /// Per-order clipped overlap of a hypothesis with the reference, and the
+    /// hypothesis length, in one pass over the hypothesis units.
+    ///
+    /// A `None` unit is one the reference lacks (a token missing from its
+    /// vocabulary): it counts towards the length, but no window across it
+    /// matches. At each position the probe climbs orders 1, 2, … and stops
+    /// at the first miss, because the low `n` units of a reference
+    /// `(n + 1)`-gram are a reference `n`-gram. A hit counts a match while
+    /// its slot's counter stays within the reference count, which sums
+    /// `min(hyp, ref)` exactly as [`NgramCounts::clipped_overlap`] does.
+    pub fn overlap_stats(
+        &self,
+        units: impl Iterator<Item = Option<u64>>,
+    ) -> (Vec<OverlapStats>, usize) {
+        let mut matches = vec![0usize; self.orders.len()];
+        let mut seen = vec![0u32; self.slots as usize];
+        let (mut rolling, mut len, mut run) = (K::default(), 0usize, 0usize);
+        for unit in units {
+            len += 1;
+            // `run` counts the known units ending here, up to the top order.
+            let Some(unit) = unit else {
+                run = 0;
+                continue;
+            };
+            rolling = rolling.shift_in(unit, self.unit_bits);
+            run = (run + 1).min(self.orders.len());
+            for (idx, order) in self.orders[..run].iter().enumerate() {
+                let key = rolling.mask_low((idx as u32 + 1) * self.unit_bits);
+                let Some(gram) = order.get(&key) else { break };
+                seen[gram.slot as usize] += 1;
+                if seen[gram.slot as usize] <= gram.count {
+                    matches[idx] += 1;
+                }
+            }
         }
+        let stats = (1..).zip(matches).map(|(n, matches)| OverlapStats {
+            matches,
+            hyp_total: (len + 1).saturating_sub(n),
+            ref_total: self.total(n),
+        });
+        (stats.collect(), len)
     }
 
-    /// The count map of order `n` (1-based).
-    pub fn order(&self, n: usize) -> &FxHashMap<K, u32> {
-        &self.orders[n - 1]
+    /// Heap bytes the table holds: the order maps and their vector.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.orders.capacity() * std::mem::size_of::<FxHashMap<K, Gram>>()
+            + self.orders.iter().map(map_heap_bytes).sum::<usize>()
     }
+}
 
-    /// Clipped overlap at order `n`: `sum(min(count_self, count_other))`.
-    /// Iterates whichever side has fewer distinct n-grams — the minimum is
-    /// symmetric, so entries missing from either side contribute nothing.
-    pub fn clipped_overlap(&self, other: &Self, n: usize) -> usize {
-        debug_assert_eq!(self.unit_bits, other.unit_bits);
-        let (small, large) = if self.order(n).len() <= other.order(n).len() {
-            (self.order(n), other.order(n))
-        } else {
-            (other.order(n), self.order(n))
-        };
-        small
-            .iter()
-            .map(|(gram, &count)| count.min(large.get(gram).copied().unwrap_or(0)) as usize)
-            .sum()
-    }
-
-    /// [`OverlapStats`] of `hyp` (self) against `reference` at order `n`.
-    pub fn overlap_stats(&self, reference: &Self, n: usize) -> OverlapStats {
-        OverlapStats {
-            matches: self.clipped_overlap(reference, n),
-            hyp_total: self.total(n),
-            ref_total: reference.total(n),
-        }
-    }
+/// Heap bytes behind an [`FxHashMap`], from its capacity and the standard
+/// library's SwissTable layout: a `(K, V)` slot per bucket, padded to the
+/// control-byte alignment, then a control byte per bucket and one trailing
+/// group. Exact with 16-byte (SSE2) groups, up to a group over elsewhere.
+pub(crate) fn map_heap_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
+    const GROUP: usize = 16;
+    let capacity = map.capacity();
+    // Tables of 8 buckets or more fill to 7/8; smaller ones to all but one.
+    let buckets = match capacity {
+        0 => return 0,
+        1..=7 => capacity + 1,
+        _ => capacity / 7 * 8,
+    };
+    let slots = buckets * std::mem::size_of::<(K, V)>();
+    slots.next_multiple_of(std::mem::align_of::<(K, V)>().max(GROUP)) + buckets + GROUP
 }
 
 /// Multiset of n-grams of a fixed order.
@@ -398,43 +420,42 @@ mod tests {
         assert_eq!(a.clipped_overlap(&b), 3); // min(2,1) + min(3,2)
     }
 
+    /// Pack `units` the way [`ReferenceNgrams`] keys them, 16 bits each.
+    fn key(units: &[u64]) -> u64 {
+        units.iter().fold(0u64, |k, &u| (k << 16) | u)
+    }
+
     #[test]
     fn packed_counts_match_naive_counts() {
         let items: Vec<u64> = vec![1, 2, 3, 1, 2, 1, 4, 2, 3];
-        let packed = PackedCounts::<u64>::from_units(items.iter().copied(), 16, 4);
+        let packed = ReferenceNgrams::<u64>::from_units(items.iter().copied(), 16, 4);
+        let mut slots = Vec::new();
         for n in 1..=4usize {
             let naive = NgramCounts::from_items(&items, n);
             assert_eq!(packed.total(n), naive.total(), "order {n}");
-            assert_eq!(packed.order(n).len(), naive.distinct(), "order {n}");
+            assert_eq!(packed.orders[n - 1].len(), naive.distinct(), "order {n}");
+            for (gram, &count) in naive.iter() {
+                let entry = packed.orders[n - 1][&key(gram)];
+                assert_eq!(entry.count as usize, count, "order {n} {gram:?}");
+                slots.push(entry.slot);
+            }
         }
-        // Spot-check a few counts via packed keys (16 bits per unit).
-        let key = |units: &[u64]| units.iter().fold(0u64, |k, &u| (k << 16) | u);
-        assert_eq!(packed.order(1)[&key(&[1])], 3);
-        assert_eq!(packed.order(2)[&key(&[1, 2])], 2);
-        assert_eq!(packed.order(3)[&key(&[2, 3, 1])], 1);
+        // Every distinct n-gram of every order has a slot of its own.
+        slots.sort_unstable();
+        assert_eq!(slots, (0..slots.len() as u32).collect::<Vec<_>>());
     }
 
     #[test]
     fn packed_clipped_overlap_matches_naive() {
         let a: Vec<u64> = vec![1, 2, 1, 2, 3, 4, 1];
         let b: Vec<u64> = vec![2, 1, 2, 3, 3, 1];
-        let pa = PackedCounts::<u64>::from_units(a.iter().copied(), 16, 3);
-        let pb = PackedCounts::<u64>::from_units(b.iter().copied(), 16, 3);
-        for n in 1..=3usize {
-            let na = NgramCounts::from_items(&a, n);
-            let nb = NgramCounts::from_items(&b, n);
-            assert_eq!(
-                pa.clipped_overlap(&pb, n),
-                na.clipped_overlap(&nb),
-                "order {n}"
-            );
-            assert_eq!(
-                pa.clipped_overlap(&pb, n),
-                pb.clipped_overlap(&pa, n),
-                "order {n}"
-            );
-            let stats = pa.overlap_stats(&pb, n);
-            assert_eq!(stats, OverlapStats::compute(&a, &b, n), "order {n}");
+        for (hyp, rf) in [(&a, &b), (&b, &a)] {
+            let packed = ReferenceNgrams::<u64>::from_units(rf.iter().copied(), 16, 3);
+            let (stats, len) = packed.overlap_stats(hyp.iter().map(|&u| Some(u)));
+            assert_eq!(len, hyp.len());
+            for n in 1..=3usize {
+                assert_eq!(stats[n - 1], OverlapStats::compute(hyp, rf, n), "order {n}");
+            }
         }
     }
 
@@ -442,24 +463,93 @@ mod tests {
     fn packed_u128_counts_wide_units() {
         // 21-bit units as used for ChrF chars, including beyond the BMP.
         let chars: Vec<u64> = "aé😀aé".chars().map(|c| c as u64).collect();
-        let packed = PackedCounts::<u128>::from_units(chars.iter().copied(), 21, 6);
+        let packed = ReferenceNgrams::<u128>::from_units(chars.iter().copied(), 21, 6);
         assert_eq!(packed.total(1), 5);
-        assert_eq!(packed.order(1).len(), 3);
+        assert_eq!(packed.orders[0].len(), 3);
+        assert_eq!(packed.orders[1][&((0x61u128 << 21) | 0xe9)].count, 2);
         assert_eq!(packed.total(5), 1);
         assert_eq!(packed.total(6), 0);
+        let hyp: Vec<u64> = "😀aéa".chars().map(|c| c as u64).collect();
+        let (stats, _) = packed.overlap_stats(hyp.iter().map(|&u| Some(u)));
+        for n in 1..=6usize {
+            assert_eq!(
+                stats[n - 1],
+                OverlapStats::compute(&hyp, &chars, n),
+                "order {n}"
+            );
+        }
     }
 
     #[test]
     fn packed_counts_empty_and_short_sequences() {
-        let empty = PackedCounts::<u64>::from_units(std::iter::empty(), 16, 4);
-        assert!(empty.is_empty());
+        let empty = ReferenceNgrams::<u64>::from_units(std::iter::empty(), 16, 4);
+        assert_eq!(empty.len(), 0);
         for n in 1..=4 {
             assert_eq!(empty.total(n), 0);
-            assert!(empty.order(n).is_empty());
+            assert!(empty.orders[n - 1].is_empty());
         }
-        let one = PackedCounts::<u64>::from_units([7u64].into_iter(), 16, 4);
+        let (stats, len) = empty.overlap_stats([Some(7), None].into_iter());
+        assert_eq!(len, 2);
+        assert_eq!(stats[0], OverlapStats::compute(&[7, 8], &[], 1));
+        let one = ReferenceNgrams::<u64>::from_units([7u64].into_iter(), 16, 4);
         assert_eq!(one.total(1), 1);
         assert_eq!(one.total(2), 0);
+        let (stats, len) = one.overlap_stats(std::iter::empty());
+        assert_eq!(len, 0);
+        assert!(stats.iter().all(|s| s.matches == 0 && s.hyp_total == 0));
+    }
+
+    #[test]
+    fn repeats_beyond_the_reference_count_are_clipped_at_every_order() {
+        // The reference holds "1 2 3 4" twice; the hypothesis five times.
+        let rf: Vec<u64> = vec![1, 2, 3, 4, 9, 1, 2, 3, 4];
+        let hyp: Vec<u64> = [1, 2, 3, 4].repeat(5);
+        let packed = ReferenceNgrams::<u64>::from_units(rf.iter().copied(), 16, 4);
+        let (stats, _) = packed.overlap_stats(hyp.iter().map(|&u| Some(u)));
+        // Each of its 4 unigrams, 3 bigrams, 2 trigrams and 1 4-gram clips
+        // at the reference's 2.
+        let matches: Vec<usize> = stats.iter().map(|s| s.matches).collect();
+        assert_eq!(matches, vec![8, 6, 4, 2]);
+        for n in 1..=4usize {
+            assert_eq!(
+                stats[n - 1],
+                OverlapStats::compute(&hyp, &rf, n),
+                "order {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_missing_suffix_zeroes_every_higher_order_at_its_position() {
+        // Every unigram and every 4-gram's prefix occurs in the reference,
+        // but the hypothesis ends in the bigram "3 1", which does not: no
+        // 3- or 4-gram ending there can match either. Breaking the window
+        // with an unknown unit does the same from order 1 up.
+        let rf: Vec<u64> = vec![1, 2, 3, 4, 1, 2];
+        let packed = ReferenceNgrams::<u64>::from_units(rf.iter().copied(), 16, 4);
+        let hyp: Vec<u64> = vec![1, 2, 3, 1];
+        let (stats, _) = packed.overlap_stats(hyp.iter().map(|&u| Some(u)));
+        let matches: Vec<usize> = stats.iter().map(|s| s.matches).collect();
+        assert_eq!(matches, vec![4, 2, 1, 0]);
+        for n in 1..=4usize {
+            assert_eq!(
+                stats[n - 1],
+                OverlapStats::compute(&hyp, &rf, n),
+                "order {n}"
+            );
+        }
+        let (stats, len) = packed.overlap_stats([Some(1), Some(2), None, Some(4)].into_iter());
+        assert_eq!(len, 4);
+        let matches: Vec<usize> = stats.iter().map(|s| s.matches).collect();
+        assert_eq!(matches, vec![3, 1, 0, 0]);
+        let hyp_with_unknown: Vec<u64> = vec![1, 2, 99, 4];
+        for n in 1..=4usize {
+            assert_eq!(
+                stats[n - 1],
+                OverlapStats::compute(&hyp_with_unknown, &rf, n),
+                "order {n}"
+            );
+        }
     }
 
     #[test]

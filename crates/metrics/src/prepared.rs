@@ -2,25 +2,23 @@
 //! hypotheses against it.
 //!
 //! The benchmark grid scores every `(model, trial)` hypothesis against a
-//! small, fixed set of ground-truth references, so re-tokenising and
-//! re-counting the reference for every cell is pure waste. A
-//! [`PreparedReference`] front-loads that work:
+//! small, fixed set of ground-truth references, so a [`PreparedReference`]
+//! front-loads the reference's work into a [`ReferenceNgrams`] table:
 //!
-//! * **BLEU** — the reference is normalised, tokenised into zero-copy spans,
-//!   every token is interned to a dense `u32` id, and word n-grams
-//!   (n ≤ 4) are packed 16 bits/token into `u64` keys counted in FxHash
-//!   maps ([`PackedCounts`]).
-//! * **ChrF** — whitespace-stripped chars are packed 21 bits/char into
-//!   `u128` keys (n ≤ 6) and counted the same way.
+//! * **BLEU** — normalised, tokenised into zero-copy spans and interned to
+//!   dense `u32` ids; word n-grams (n ≤ 4) packed 16 bits/token into `u64`.
+//! * **ChrF** — whitespace-stripped chars packed 21 bits/char into `u128`
+//!   keys (n ≤ 6).
 //!
-//! Hypotheses are tokenised against the reference's interner with a local
-//! overlay for out-of-vocabulary tokens, so scoring allocates no per-window
-//! keys and hashes only integers. Inputs the packed representation cannot
-//! hold (≥ 2¹⁶ distinct tokens, or orders beyond the packed width) fall back
-//! to the naive [`NgramCounts`](crate::ngram::NgramCounts) path, which is
-//! bit-identical by construction and property-tested to stay that way.
+//! Scoring only probes that table: a hypothesis token missing from the
+//! reference's interner cannot match, so it breaks the n-gram window instead
+//! of taking an id, and a hypothesis of any vocabulary stays on the fast
+//! path. References the packed keys cannot hold (≥ 2¹⁶ distinct tokens, or
+//! orders beyond the packed width) fall back to the naive
+//! [`NgramCounts`](crate::ngram::NgramCounts) path, bit-identical by
+//! construction and property-tested to stay that way.
 
-use crate::ngram::{FxHashMap, OverlapStats, PackedCounts};
+use crate::ngram::{map_heap_bytes, FxHashMap, OverlapStats, ReferenceNgrams};
 use crate::tokenize::{chrf_chars, normalize, tokenize_13a_spans};
 
 /// Bits per interned word id in packed BLEU keys (4 × 16 = 64).
@@ -68,34 +66,11 @@ impl Interner {
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
-}
 
-/// Resolve hypothesis tokens against a reference interner, assigning fresh
-/// ids from an overlay for out-of-vocabulary tokens. OOV tokens can never
-/// match a reference n-gram, but they must still count towards hypothesis
-/// totals and match *each other*, so they need consistent ids. Returns
-/// `None` when the combined id space no longer fits the packed width.
-pub(crate) fn resolve_hypothesis_ids<'a>(
-    spans: impl Iterator<Item = &'a str>,
-    reference: &Interner,
-) -> Option<Vec<u32>> {
-    let mut overlay: FxHashMap<&'a str, u32> = FxHashMap::default();
-    let mut ids = Vec::new();
-    for span in spans {
-        let id = match reference.get(span) {
-            Some(id) => id,
-            None => {
-                let next = reference.len() as u32 + overlay.len() as u32;
-                *overlay.entry(span).or_insert(next)
-            }
-        };
-        ids.push(id);
+    /// Heap bytes held: the map and every owned token.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        map_heap_bytes(&self.ids) + self.ids.keys().map(String::capacity).sum::<usize>()
     }
-    let vocab = reference.len() + overlay.len();
-    if vocab >= (1usize << WORD_BITS) {
-        return None;
-    }
-    Some(ids)
 }
 
 /// A reference prepared for repeated BLEU scoring.
@@ -107,9 +82,9 @@ pub struct PreparedBleu {
     pub(crate) max_order: usize,
     /// Token → id for the reference vocabulary.
     pub(crate) interner: Interner,
-    /// Packed per-order n-gram counts; `None` when the reference alone
-    /// overflows the packed id space (then scoring falls back to naive).
-    pub(crate) counts: Option<PackedCounts<u64>>,
+    /// Reference word n-grams; `None` when the reference overflows the
+    /// packed id space or order (then scoring falls back to naive).
+    pub(crate) counts: Option<ReferenceNgrams<u64>>,
     /// Reference length in tokens.
     pub(crate) len: usize,
 }
@@ -133,7 +108,7 @@ impl PreparedBleu {
         };
         let packable = interner.len() < (1usize << WORD_BITS) && max_order <= MAX_PACKED_WORD_ORDER;
         let counts = packable.then(|| {
-            PackedCounts::from_units(ids.iter().map(|&id| id as u64), WORD_BITS, max_order)
+            ReferenceNgrams::from_units(ids.iter().map(|&id| id as u64), WORD_BITS, max_order)
         });
         PreparedBleu {
             tokenize,
@@ -144,25 +119,18 @@ impl PreparedBleu {
         }
     }
 
-    /// Per-order overlap statistics of a hypothesis against this reference,
-    /// or `None` when the pair needs the naive fallback.
+    /// Per-order overlap statistics of a hypothesis against this reference
+    /// and the hypothesis length, or `None` when the reference needs the
+    /// naive fallback.
     pub(crate) fn overlap_stats(&self, hypothesis: &str) -> Option<(Vec<OverlapStats>, usize)> {
-        let ref_counts = self.counts.as_ref()?;
+        let counts = self.counts.as_ref()?;
         let normalized = normalize(hypothesis);
-        let ids = if self.tokenize {
-            resolve_hypothesis_ids(tokenize_13a_spans(&normalized).into_iter(), &self.interner)?
+        let id = |span: &str| self.interner.get(span).map(u64::from);
+        Some(if self.tokenize {
+            counts.overlap_stats(tokenize_13a_spans(&normalized).into_iter().map(id))
         } else {
-            resolve_hypothesis_ids(normalized.split_whitespace(), &self.interner)?
-        };
-        let hyp_counts = PackedCounts::<u64>::from_units(
-            ids.iter().map(|&id| id as u64),
-            WORD_BITS,
-            self.max_order,
-        );
-        let stats = (1..=self.max_order)
-            .map(|n| hyp_counts.overlap_stats(ref_counts, n))
-            .collect();
-        Some((stats, ids.len()))
+            counts.overlap_stats(normalized.split_whitespace().map(id))
+        })
     }
 }
 
@@ -171,9 +139,9 @@ impl PreparedBleu {
 pub struct PreparedChrf {
     /// Highest char n-gram order counted.
     pub(crate) max_order: usize,
-    /// Packed per-order char n-gram counts; `None` when `max_order` exceeds
-    /// the packed width.
-    pub(crate) counts: Option<PackedCounts<u128>>,
+    /// Reference char n-grams; `None` when `max_order` exceeds the packed
+    /// width.
+    pub(crate) counts: Option<ReferenceNgrams<u128>>,
 }
 
 impl PreparedChrf {
@@ -181,29 +149,22 @@ impl PreparedChrf {
     pub(crate) fn new(reference: &str, max_order: usize) -> Self {
         let chars = chrf_chars(&normalize(reference));
         let counts = (max_order <= MAX_PACKED_CHAR_ORDER).then(|| {
-            PackedCounts::from_units(chars.iter().map(|&c| c as u64), CHAR_BITS, max_order)
+            ReferenceNgrams::from_units(chars.iter().map(|&c| c as u64), CHAR_BITS, max_order)
         });
         PreparedChrf { max_order, counts }
     }
 
-    /// Per-order overlap statistics of a hypothesis against this reference,
-    /// or `None` when the pair needs the naive fallback. Also reports the
-    /// hypothesis/reference char counts for the empty-input special cases.
+    /// Per-order overlap statistics of a hypothesis against this reference
+    /// and the hypothesis/reference char counts (for the empty-input cases),
+    /// or `None` when the reference needs the naive fallback.
     pub(crate) fn overlap_stats(
         &self,
         hypothesis: &str,
     ) -> Option<(Vec<OverlapStats>, usize, usize)> {
-        let ref_counts = self.counts.as_ref()?;
+        let counts = self.counts.as_ref()?;
         let chars = chrf_chars(&normalize(hypothesis));
-        let hyp_counts = PackedCounts::<u128>::from_units(
-            chars.iter().map(|&c| c as u64),
-            CHAR_BITS,
-            self.max_order,
-        );
-        let stats = (1..=self.max_order)
-            .map(|n| hyp_counts.overlap_stats(ref_counts, n))
-            .collect();
-        Some((stats, chars.len(), ref_counts.len()))
+        let (stats, hyp_chars) = counts.overlap_stats(chars.iter().map(|&c| Some(c as u64)));
+        Some((stats, hyp_chars, counts.len()))
     }
 }
 
@@ -212,9 +173,9 @@ impl PreparedChrf {
 pub(crate) enum PreparedPayload {
     /// No precomputation: the default for scorers without a fast path.
     Raw,
-    /// BLEU interning + packed counts.
+    /// BLEU interning + reference n-gram table.
     Bleu(PreparedBleu),
-    /// ChrF packed counts.
+    /// ChrF reference n-gram table.
     Chrf(PreparedChrf),
 }
 
@@ -243,6 +204,20 @@ impl PreparedReference {
     /// The original reference text.
     pub fn source(&self) -> &str {
         &self.source
+    }
+
+    /// Heap bytes this prepared reference holds: the retained source text,
+    /// the interner and the n-gram tables, computed from their capacities.
+    /// Caches of client-supplied references charge entries with this.
+    pub fn heap_bytes(&self) -> usize {
+        self.source.capacity()
+            + match &self.payload {
+                PreparedPayload::Raw => 0,
+                PreparedPayload::Bleu(bleu) => {
+                    bleu.interner.heap_bytes() + bleu.counts.as_ref().map_or(0, |c| c.heap_bytes())
+                }
+                PreparedPayload::Chrf(chrf) => chrf.counts.as_ref().map_or(0, |c| c.heap_bytes()),
+            }
     }
 }
 
@@ -292,6 +267,7 @@ impl CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BleuScorer, Scorer};
 
     #[test]
     fn interner_assigns_dense_ids() {
@@ -307,15 +283,26 @@ mod tests {
     }
 
     #[test]
-    fn hypothesis_overlay_ids_are_consistent_and_disjoint() {
-        let mut interner = Interner::default();
-        interner.intern("known");
-        let ids = resolve_hypothesis_ids(["known", "new", "new", "other"].into_iter(), &interner)
-            .unwrap();
-        assert_eq!(ids[0], 0);
-        assert_eq!(ids[1], ids[2]);
-        assert!(ids[1] >= 1);
-        assert_ne!(ids[1], ids[3]);
+    fn hypotheses_beyond_the_packed_id_space_stay_on_the_fast_path() {
+        // 70,000 distinct tokens the reference lacks: more than 2¹⁶ ids, so
+        // no id scheme shared with the hypothesis could pack them. Probing
+        // only looks tokens up, so the prepared path still scores it, bit
+        // for bit like the naive path.
+        let reference = "the cat sat on the mat";
+        let mut hypothesis = String::from("the cat sat");
+        for i in 0..70_000 {
+            hypothesis.push_str(&format!(" oov{i}"));
+        }
+        let scorer = BleuScorer::default();
+        let prepared = scorer.prepare(reference);
+        let PreparedPayload::Bleu(bleu) = &prepared.payload else {
+            panic!("a BLEU scorer prepares a BLEU payload");
+        };
+        let (_, hyp_len) = bleu.overlap_stats(&hypothesis).expect("fast path");
+        assert_eq!(hyp_len, 70_003);
+        let fast = scorer.score_prepared(&hypothesis, &prepared);
+        let naive = scorer.breakdown_naive(&hypothesis, reference).score;
+        assert_eq!(fast.to_bits(), naive.to_bits(), "{fast} vs {naive}");
     }
 
     #[test]

@@ -101,7 +101,11 @@ pub struct ServiceConfig {
     /// plus `system`) are kept from their first sighting. An inline
     /// `reference_text` is kept only from its second: a fixed
     /// direct-mapped doorkeeper of text hashes remembers the first, so a
-    /// reference sent once is prepared for its request and dropped.
+    /// reference sent once is prepared for its request and dropped. Kept
+    /// inline references are also charged their heap bytes against a
+    /// fixed budget ([`INLINE_BUDGET_BYTES`](wfspeak_core::runner::INLINE_BUDGET_BYTES),
+    /// 4 MiB) that this cap does not change; once it is spent, further
+    /// inline references are prepared per request and not kept.
     pub max_cached_references: usize,
     /// How long a worker waits to hand a response to a connection whose
     /// reply buffer is full before disconnecting that client (a client that
