@@ -1,6 +1,6 @@
 //! Function-call, decorator, include and import extraction.
 
-use crate::lexer::{tokenize, Language, Token, TokenKind};
+use crate::lexer::{Language, Lexer, Token, TokenKind};
 
 /// A function call found in source code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,12 +34,13 @@ pub struct Decorator {
     pub has_args: bool,
 }
 
-/// Extract every function call from `source`.
-///
-/// Control-flow keywords (`if`, `while`, `for`, ...) followed by `(` are not
-/// reported as calls.
-pub fn extract_calls(source: &str, language: Language) -> Vec<Call> {
-    let tokens = tokenize(source, language);
+/// Stream the call sites of `source` as (name token, receiver) pairs: every
+/// identifier directly followed by `(`, judged by the last three
+/// significant tokens (newlines, comments and preprocessor lines skipped).
+pub(crate) fn call_sites(
+    source: &str,
+    language: Language,
+) -> impl Iterator<Item = (Token<'_>, Option<&str>)> {
     let keywords: &[&str] = match language {
         Language::C => &[
             "if", "while", "for", "switch", "return", "sizeof", "int", "float", "double", "char",
@@ -49,94 +50,85 @@ pub fn extract_calls(source: &str, language: Language) -> Vec<Call> {
             "if", "while", "for", "return", "print", "def", "class", "with", "lambda",
         ],
     };
-    let mut calls = Vec::new();
-    let significant: Vec<&Token> = tokens
-        .iter()
+    let mut behind: [Option<Token>; 3] = [None; 3];
+    Lexer::new(source, language)
         .filter(|t| {
             !matches!(
                 t.kind,
                 TokenKind::Newline | TokenKind::Comment | TokenKind::Preprocessor
             )
         })
-        .collect();
-    for i in 0..significant.len() {
-        let t = significant[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let next = significant.get(i + 1);
-        let is_call = matches!(next, Some(n) if n.kind == TokenKind::Punct && n.text == "(");
-        if !is_call || keywords.contains(&t.text.as_str()) {
-            continue;
-        }
-        // `def name(` and `class name(` are definitions, not calls.
-        if i >= 1 {
-            let prev = significant[i - 1];
-            if prev.kind == TokenKind::Ident && (prev.text == "def" || prev.text == "class") {
-                continue;
+        .filter_map(move |token| {
+            let [receiver, prev, name] = behind;
+            behind = [prev, name, Some(token)];
+            if token.kind != TokenKind::Punct || token.text != "(" {
+                return None;
             }
-            // A decorator name followed by `(` is reported by
-            // `extract_decorators`, not as a call.
-            if prev.kind == TokenKind::At {
-                continue;
+            let name =
+                name.filter(|t| t.kind == TokenKind::Ident && !keywords.contains(&t.text))?;
+            let prev = prev.map(|t| (t.kind, t.text));
+            // `def name(` and `class name(` are definitions, not calls, and
+            // a decorator's `@name(` is reported by `extract_decorators`.
+            if matches!(
+                prev,
+                Some((TokenKind::Ident, "def" | "class") | (TokenKind::At, _))
+            ) {
+                return None;
             }
-        }
-        let receiver = if i >= 2
-            && significant[i - 1].kind == TokenKind::Punct
-            && significant[i - 1].text == "."
-            && significant[i - 2].kind == TokenKind::Ident
-        {
-            Some(significant[i - 2].text.clone())
-        } else {
-            None
-        };
-        calls.push(Call {
-            name: t.text.clone(),
-            line: t.line,
-            receiver,
-        });
-    }
-    calls
+            let dotted = prev == Some((TokenKind::Punct, "."));
+            let receiver = receiver.filter(|r| dotted && r.kind == TokenKind::Ident);
+            Some((name, receiver.map(|r| r.text)))
+        })
+}
+
+/// Extract every function call from `source`.
+///
+/// Control-flow keywords (`if`, `while`, `for`, ...) followed by `(` are not
+/// reported as calls.
+pub fn extract_calls(source: &str, language: Language) -> Vec<Call> {
+    call_sites(source, language)
+        .map(|(name, receiver)| Call {
+            name: name.text.to_owned(),
+            line: name.line,
+            receiver: receiver.map(str::to_owned),
+        })
+        .collect()
 }
 
 /// Extract Python decorators from `source` (returns an empty list for C).
+///
+/// A decorator's name joins with `.` every identifier after its `@` up to
+/// the first token, comments aside, that is neither an identifier nor a
+/// `.`; the decorator has arguments when that token is `(`.
 pub fn extract_decorators(source: &str) -> Vec<Decorator> {
-    let tokens = tokenize(source, Language::Python);
-    let significant: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokenKind::Comment))
-        .collect();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < significant.len() {
-        if significant[i].kind == TokenKind::At {
-            let line = significant[i].line;
-            let mut name_parts = Vec::new();
-            let mut j = i + 1;
-            while j < significant.len() {
-                match significant[j].kind {
-                    TokenKind::Ident => name_parts.push(significant[j].text.clone()),
-                    TokenKind::Punct if significant[j].text == "." => {}
-                    _ => break,
+    let mut out: Vec<Decorator> = Vec::new();
+    // Whether the last decorator in `out` is still reading its name.
+    let mut naming = false;
+    for token in Lexer::new(source, Language::Python).filter(|t| t.kind != TokenKind::Comment) {
+        match (out.last_mut().filter(|_| naming), token.kind) {
+            (Some(last), TokenKind::Ident) => {
+                if !last.name.is_empty() {
+                    last.name.push('.');
                 }
-                j += 1;
+                last.name.push_str(token.text);
             }
-            let has_args = significant
-                .get(j)
-                .map(|t| t.kind == TokenKind::Punct && t.text == "(")
-                .unwrap_or(false);
-            if !name_parts.is_empty() {
-                out.push(Decorator {
-                    name: name_parts.join("."),
-                    line,
-                    has_args,
-                });
+            (Some(_), TokenKind::Punct) if token.text == "." => {}
+            (last, kind) => {
+                if let Some(last) = last {
+                    last.has_args = token.text == "(";
+                }
+                naming = kind == TokenKind::At;
+                if naming {
+                    out.push(Decorator {
+                        name: String::new(),
+                        line: token.line,
+                        has_args: false,
+                    });
+                }
             }
-            i = j;
-        } else {
-            i += 1;
         }
     }
+    out.retain(|d| !d.name.is_empty());
     out
 }
 
@@ -179,10 +171,9 @@ pub fn extract_imports(source: &str, language: Language) -> Vec<String> {
 /// Unique call names in source order (convenience for validation).
 pub fn call_names(source: &str, language: Language) -> Vec<String> {
     let mut seen = std::collections::HashSet::new();
-    extract_calls(source, language)
-        .into_iter()
-        .filter(|c| seen.insert(c.name.clone()))
-        .map(|c| c.name)
+    call_sites(source, language)
+        .filter(|(name, _)| seen.insert(name.text))
+        .map(|(name, _)| name.text.to_owned())
         .collect()
 }
 
@@ -310,6 +301,17 @@ compss_wait_on_file("out.txt")
         assert!(!names.contains(&"henson_yield".to_string()));
         assert!(!names.contains(&"henson_save_int".to_string()));
         assert!(names.contains(&"real_call".to_string()));
+    }
+
+    #[test]
+    fn lines_after_an_escaped_newline_in_a_string_are_not_short() {
+        let calls = extract_calls("printf(\"a\\\nb\");\nfoo();\n", Language::C);
+        let lines: Vec<(&str, usize)> = calls.iter().map(|c| (c.name.as_str(), c.line)).collect();
+        assert_eq!(lines, vec![("printf", 1), ("foo", 3)]);
+        let source = "x = 'a\\\nb'\n\n\ng()\n@task\ndef f():\n    pass\n";
+        let g = extract_calls(source, Language::Python);
+        assert_eq!((g[0].name.as_str(), g[0].line), ("g", 5));
+        assert_eq!(extract_decorators(source)[0].line, 6);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! those categories from two source texts plus the system's known API
 //! surface.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
-use crate::calls::call_names;
+use crate::calls::call_sites;
 use crate::lexer::Language;
 
 /// Result of comparing hypothesis calls against reference calls and a known
@@ -61,7 +61,9 @@ impl CallComparison {
 /// `api_prefixes` identifies the system's API family (e.g. `["henson_"]`,
 /// `["adios2_"]`); `known_api` is the catalogue of real functions.  A
 /// hypothesis call that matches a prefix but is not in the catalogue is
-/// classified as hallucinated.
+/// classified as hallucinated.  Every list comes out sorted and without
+/// duplicates: each side's call names are sorted, deduplicated slices of
+/// its source, merged in one pass, and only the returned names are copied.
 pub fn compare_calls(
     hypothesis: &str,
     reference: &str,
@@ -69,25 +71,36 @@ pub fn compare_calls(
     api_prefixes: &[&str],
     known_api: &[&str],
 ) -> CallComparison {
-    let hyp_calls: BTreeSet<String> = call_names(hypothesis, language).into_iter().collect();
-    let ref_calls: BTreeSet<String> = call_names(reference, language).into_iter().collect();
-    let known: BTreeSet<&str> = known_api.iter().copied().collect();
-
-    let matched = hyp_calls.intersection(&ref_calls).cloned().collect();
-    let missing = ref_calls.difference(&hyp_calls).cloned().collect();
-    let extra: Vec<String> = hyp_calls.difference(&ref_calls).cloned().collect();
-    let hallucinated = hyp_calls
-        .iter()
-        .filter(|c| api_prefixes.iter().any(|p| c.starts_with(p)) && !known.contains(c.as_str()))
-        .cloned()
-        .collect();
-
-    CallComparison {
-        matched,
-        missing,
-        extra,
-        hallucinated,
+    let hyp = sorted_call_names(hypothesis, language);
+    let refs = sorted_call_names(reference, language);
+    let mut out = CallComparison::default();
+    let (mut h, mut r) = (0, 0);
+    while h < hyp.len() || r < refs.len() {
+        // A side that has run out sorts after every name of the other.
+        let order = (h == hyp.len(), hyp.get(h)).cmp(&(r == refs.len(), refs.get(r)));
+        let (list, name) = match order {
+            Ordering::Less => (&mut out.extra, hyp[h]),
+            Ordering::Greater => (&mut out.missing, refs[r]),
+            Ordering::Equal => (&mut out.matched, hyp[h]),
+        };
+        list.push(name.to_owned());
+        h += usize::from(order != Ordering::Greater);
+        r += usize::from(order != Ordering::Less);
     }
+    out.hallucinated = hyp
+        .into_iter()
+        .filter(|c| api_prefixes.iter().any(|p| c.starts_with(p)) && !known_api.contains(c))
+        .map(str::to_owned)
+        .collect();
+    out
+}
+
+/// The distinct call names of `source`, sorted.
+fn sorted_call_names(source: &str, language: Language) -> Vec<&str> {
+    let mut names: Vec<&str> = call_sites(source, language).map(|(c, _)| c.text).collect();
+    names.sort_unstable();
+    names.dedup();
+    names
 }
 
 #[cfg(test)]

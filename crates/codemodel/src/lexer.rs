@@ -1,5 +1,19 @@
-//! A small tokenizer good enough for the producer/consumer task codes used
-//! in the benchmark (C with MPI calls, Python with decorators).
+//! The crate's one tokenizer: [`Lexer`], a zero-copy byte scanner over C
+//! and Python task codes. A [`Token`]'s `text` borrows from the source, and
+//! a char is decoded only at a byte at or above `0x80`. The rules:
+//!
+//! * `\n` is a newline; space, tab and `\r` are skipped (a no-break space
+//!   is punctuation). `#` runs to the line end: preprocessor in C, comment
+//!   in Python. `@` is [`TokenKind::At`] in Python. In C, `//` runs to the
+//!   line end and `/*` to the next `*/`, both comments.
+//! * A quote opens a string that ends at the same quote or before a
+//!   newline. A backslash escapes the next byte; an escaped newline
+//!   continues the string and counts a line. Python's `"""` is an empty
+//!   string and a new one, so a docstring spanning lines lexes as code.
+//! * An ASCII digit opens a number of ASCII alphanumerics, `.` and `_`; an
+//!   alphabetic char or `_` opens an identifier of alphanumerics and `_`.
+//!   Any other char is one punctuation token. Unterminated strings and
+//!   comments stop at the end of the line or of the source.
 
 /// Source language of a task code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,167 +69,141 @@ pub enum TokenKind {
     Newline,
 }
 
-/// A lexed token with its text and 1-based source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+/// A lexed token: its kind, its text borrowed from the source, and the
+/// 1-based source line it starts on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// Token category.
     pub kind: TokenKind,
     /// Raw token text.
-    pub text: String,
+    pub text: &'a str,
     /// 1-based line number.
     pub line: usize,
 }
 
-/// Tokenize `source` according to `language`.
-///
-/// The tokenizer is intentionally forgiving: unknown characters become
-/// punctuation tokens and unterminated strings extend to the end of the
-/// line, so LLM-generated (possibly malformed) code can still be analysed.
-pub fn tokenize(source: &str, language: Language) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let chars: Vec<char> = source.chars().collect();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            '\n' => {
-                tokens.push(Token {
-                    kind: TokenKind::Newline,
-                    text: "\n".to_owned(),
-                    line,
-                });
-                line += 1;
-                i += 1;
-            }
-            ' ' | '\t' | '\r' => {
-                i += 1;
-            }
-            '#' if language == Language::C => {
-                // Preprocessor directive: consume to end of line.
-                let start = i;
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Preprocessor,
-                    text: chars[start..i].iter().collect(),
-                    line,
-                });
-            }
-            '#' if language == Language::Python => {
-                let start = i;
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Comment,
-                    text: chars[start..i].iter().collect(),
-                    line,
-                });
-            }
-            '@' if language == Language::Python => {
-                tokens.push(Token {
-                    kind: TokenKind::At,
-                    text: "@".to_owned(),
-                    line,
-                });
-                i += 1;
-            }
-            '/' if language == Language::C && i + 1 < chars.len() && chars[i + 1] == '/' => {
-                let start = i;
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Comment,
-                    text: chars[start..i].iter().collect(),
-                    line,
-                });
-            }
-            '/' if language == Language::C && i + 1 < chars.len() && chars[i + 1] == '*' => {
-                let start = i;
-                let start_line = line;
-                i += 2;
-                while i + 1 < chars.len() && !(chars[i] == '*' && chars[i + 1] == '/') {
-                    if chars[i] == '\n' {
-                        line += 1;
-                    }
-                    i += 1;
-                }
-                i = (i + 2).min(chars.len());
-                tokens.push(Token {
-                    kind: TokenKind::Comment,
-                    text: chars[start..i.min(chars.len())].iter().collect(),
-                    line: start_line,
-                });
-            }
-            '"' | '\'' => {
-                let quote = c;
-                let start = i;
-                i += 1;
-                while i < chars.len() && chars[i] != quote && chars[i] != '\n' {
-                    if chars[i] == '\\' {
-                        i += 1;
-                    }
-                    i += 1;
-                }
-                if i < chars.len() && chars[i] == quote {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Str,
-                    text: chars[start..i.min(chars.len())].iter().collect(),
-                    line,
-                });
-            }
-            _ if c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len()
-                    && (chars[i].is_ascii_alphanumeric() || chars[i] == '.' || chars[i] == '_')
-                {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Number,
-                    text: chars[start..i].iter().collect(),
-                    line,
-                });
-            }
-            _ if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Ident,
-                    text: chars[start..i].iter().collect(),
-                    line,
-                });
-            }
-            _ => {
-                tokens.push(Token {
-                    kind: TokenKind::Punct,
-                    text: c.to_string(),
-                    line,
-                });
-                i += 1;
-            }
-        }
-    }
-    tokens
+/// The stream of [`Token`]s of one source text.
+#[derive(Debug, Clone)]
+pub struct Lexer<'a> {
+    source: &'a str,
+    language: Language,
+    pos: usize,
+    line: usize,
 }
 
-/// Identifiers appearing in the token stream, in order, without duplicates.
-pub fn identifiers(tokens: &[Token]) -> Vec<String> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for t in tokens {
-        if t.kind == TokenKind::Ident && seen.insert(t.text.clone()) {
-            out.push(t.text.clone());
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `source`.
+    pub fn new(source: &'a str, language: Language) -> Self {
+        Lexer {
+            source,
+            language,
+            pos: 0,
+            line: 1,
         }
     }
-    out
+
+    /// The offset of the next newline at or after `from`, or the end.
+    fn line_end(&self, from: usize) -> usize {
+        self.source[from..]
+            .find('\n')
+            .map_or(self.source.len(), |n| from + n)
+    }
+
+    /// The end of a `/*` comment opened at `start`, counting its newlines.
+    fn block_comment_end(&mut self, start: usize) -> usize {
+        let body = start + 2;
+        let end = self.source[body..]
+            .find("*/")
+            .map_or(self.source.len(), |n| body + n + 2);
+        self.line += self.source[body..end].matches('\n').count();
+        end
+    }
+
+    /// The end of a string opened by `quote` at `start`: past the closing
+    /// quote, or at the newline or source end that cuts it off. No byte of
+    /// a multi-byte char is a quote, a newline or a backslash.
+    fn string_end(&mut self, start: usize, quote: u8) -> usize {
+        let bytes = self.source.as_bytes();
+        let mut i = start + 1;
+        while let Some(&b) = bytes.get(i) {
+            match b {
+                b'\n' => return i,
+                b'\\' => {
+                    self.line += usize::from(bytes.get(i + 1) == Some(&b'\n'));
+                    i += 2;
+                }
+                _ if b == quote => return i + 1,
+                _ => i += 1,
+            }
+        }
+        bytes.len()
+    }
+
+    /// The char at byte `at` (a char boundary), decoded only if not ASCII.
+    fn char_at(&self, at: usize) -> Option<char> {
+        match self.source.as_bytes().get(at)? {
+            &b if b < 0x80 => Some(char::from(b)),
+            _ => self.source[at..].chars().next(),
+        }
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let bytes = self.source.as_bytes();
+        let blank = |b: &&u8| matches!(b, b' ' | b'\t' | b'\r');
+        let start = self.pos + bytes[self.pos..].iter().take_while(blank).count();
+        let (&b, line) = (bytes.get(start)?, self.line);
+        let python = self.language == Language::Python;
+        let next = bytes.get(start + 1).copied();
+        let (kind, end) = match b {
+            b'\n' => {
+                self.line += 1;
+                (TokenKind::Newline, start + 1)
+            }
+            b'#' if python => (TokenKind::Comment, self.line_end(start)),
+            b'#' => (TokenKind::Preprocessor, self.line_end(start)),
+            b'@' if python => (TokenKind::At, start + 1),
+            b'/' if !python && next == Some(b'/') => (TokenKind::Comment, self.line_end(start)),
+            b'/' if !python && next == Some(b'*') => {
+                (TokenKind::Comment, self.block_comment_end(start))
+            }
+            b'"' | b'\'' => (TokenKind::Str, self.string_end(start, b)),
+            b'0'..=b'9' => {
+                let digits = bytes[start..]
+                    .iter()
+                    .take_while(|d| d.is_ascii_alphanumeric() || **d == b'.' || **d == b'_');
+                (TokenKind::Number, start + digits.count())
+            }
+            _ => {
+                let c = self.char_at(start)?;
+                let mut end = start + c.len_utf8();
+                if !(c.is_alphabetic() || c == '_') {
+                    (TokenKind::Punct, end)
+                } else {
+                    while let Some(c) = self
+                        .char_at(end)
+                        .filter(|c| c.is_alphanumeric() || *c == '_')
+                    {
+                        end += c.len_utf8();
+                    }
+                    (TokenKind::Ident, end)
+                }
+            }
+        };
+        self.pos = end;
+        Some(Token {
+            kind,
+            text: &self.source[start..end],
+            line,
+        })
+    }
+}
+
+/// Every token of `source`, in order (the [`Lexer`] stream, collected).
+pub fn tokenize(source: &str, language: Language) -> Vec<Token<'_>> {
+    Lexer::new(source, language).collect()
 }
 
 #[cfg(test)]
@@ -301,7 +289,7 @@ mod tests {
         let idents: Vec<(usize, &str)> = toks
             .iter()
             .filter(|t| t.kind == TokenKind::Ident)
-            .map(|t| (t.line, t.text.as_str()))
+            .map(|t| (t.line, t.text))
             .collect();
         assert_eq!(idents, vec![(1, "a"), (2, "b"), (3, "c")]);
     }
@@ -312,7 +300,7 @@ mod tests {
         let nums: Vec<&str> = toks
             .iter()
             .filter(|t| t.kind == TokenKind::Number)
-            .map(|t| t.text.as_str())
+            .map(|t| t.text)
             .collect();
         assert_eq!(nums, vec!["3.5", "42"]);
     }
@@ -324,9 +312,52 @@ mod tests {
     }
 
     #[test]
-    fn identifiers_deduplicated_in_order() {
-        let toks = tokenize("foo(bar); foo(baz);", Language::C);
-        assert_eq!(identifiers(&toks), vec!["foo", "bar", "baz"]);
+    fn escaped_newlines_in_strings_still_count_a_line() {
+        // A backslash before a newline continues the string literal on the
+        // next line (C and Python both allow it); the newline still counts.
+        let toks = tokenize("printf(\"a\\\nb\");\nfoo();\n", Language::C);
+        let s = toks.iter().find(|t| t.kind == TokenKind::Str).unwrap();
+        assert_eq!((s.text, s.line), ("\"a\\\nb\"", 1));
+        let foo = toks.iter().find(|t| t.text == "foo").unwrap();
+        assert_eq!(foo.line, 3);
+        let toks = tokenize("x = 'a\\\nb'\n\n\ng()\n", Language::Python);
+        let g = toks.iter().find(|t| t.text == "g").unwrap();
+        assert_eq!(g.line, 5);
+    }
+
+    #[test]
+    fn token_texts_borrow_from_the_source() {
+        let source = "henson_yield(); // done";
+        let range = source.as_bytes().as_ptr_range();
+        for token in Lexer::new(source, Language::C) {
+            assert!(range.contains(&token.text.as_ptr()), "{token:?}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_letters_digits_and_spaces_follow_char_classes() {
+        // Letters of 2, 3 and 4 bytes continue an identifier, and so does
+        // a non-ASCII digit; that digit cannot start one, and a no-break
+        // space is punctuation, not whitespace.
+        let toks = tokenize("é中𝔸x٣ ٣\u{a0}_1", Language::Python);
+        let texts: Vec<(TokenKind, &str)> = toks.iter().map(|t| (t.kind, t.text)).collect();
+        assert_eq!(
+            texts,
+            vec![
+                (TokenKind::Ident, "é中𝔸x٣"),
+                (TokenKind::Punct, "٣"),
+                (TokenKind::Punct, "\u{a0}"),
+                (TokenKind::Ident, "_1"),
+            ]
+        );
+    }
+
+    #[test]
+    fn unterminated_block_comment_and_trailing_backslash_end_at_the_source_end() {
+        let toks = tokenize("a /* open\n", Language::C);
+        assert_eq!(toks.last().unwrap().text, "/* open\n");
+        let toks = tokenize("s = 'tail\\", Language::Python);
+        assert_eq!(toks.last().unwrap().text, "'tail\\");
     }
 
     #[test]

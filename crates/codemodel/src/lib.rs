@@ -7,12 +7,16 @@
 //! boilerplate), the harness needs a structural view of those programs that
 //! is cheaper and more robust than full parsing:
 //!
-//! * [`lexer`] — a tokenizer for C-like and Python-like source,
+//! * [`lexer`] — the crate's one tokenizer, [`Lexer`]: a zero-copy byte
+//!   scanner whose [`Token`]s borrow their text from the source,
 //! * [`calls`] — function-call, decorator, include and import extraction,
+//!   streamed from the lexer with a look-behind of a few tokens,
 //! * [`extract`] — pulling code out of LLM responses (markdown fences,
 //!   leading prose),
 //! * [`compare`] — API-call level comparison of a hypothesis against a
-//!   reference (missing / extra / hallucinated calls).
+//!   reference (missing / extra / hallucinated calls). It runs for every
+//!   evaluated response, next to BLEU and ChrF, and copies only the names
+//!   it returns.
 //!
 //! # Example
 //!
@@ -33,4 +37,4 @@ pub mod lexer;
 pub use calls::{extract_calls, extract_decorators, extract_imports, Call, Decorator};
 pub use compare::{compare_calls, CallComparison};
 pub use extract::{extract_code, strip_markdown_fences};
-pub use lexer::{tokenize, Language, Token, TokenKind};
+pub use lexer::{tokenize, Language, Lexer, Token, TokenKind};

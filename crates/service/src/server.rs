@@ -22,7 +22,10 @@
 //!   [`FrameDecoder`], parsed requests are
 //!   admitted to the bounded job queue, and encoded replies are flushed
 //!   back through a per-connection write queue. No thread ever blocks on
-//!   one client's socket.
+//!   one client's socket. When `accept` runs out of file descriptors, the
+//!   listener leaves the poller until one of the loop's connections closes
+//!   or a 100 ms backoff passes, so the loop sleeps instead of spinning
+//!   on a listener that stays readable.
 //! * **Admission control**: when the job queue is full, the connection
 //!   *parks* the decoded request — its read interest is muted, so
 //!   backpressure propagates into the client's TCP window — and retries on
@@ -76,6 +79,10 @@ use crate::protocol::{
 
 /// Poller key reserved for the listening socket (loop 0 only).
 const LISTENER_KEY: usize = usize::MAX - 1;
+
+/// How long the listener stays out of the poller after `accept` ran out of
+/// file descriptors, unless one of the loop's connections closes first.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Tunables for [`ScoringServer::spawn`].
 #[derive(Debug, Clone)]
@@ -569,6 +576,7 @@ impl ScoringServer {
                     state: Arc::clone(&state),
                     job_tx: job_tx.clone(),
                     listener: if index == 0 { listener.take() } else { None },
+                    accept_resume: None,
                     conns: HashMap::new(),
                     next_token: 0,
                     reply_depth: config.reply_queue_depth.max(1),
@@ -798,6 +806,9 @@ struct LoopCtx {
     state: Arc<ServiceState>,
     job_tx: Sender<Job>,
     listener: Option<TcpListener>,
+    /// Set while the listener is out of the poller because `accept` ran
+    /// out of file descriptors: when to put it back at the latest.
+    accept_resume: Option<Instant>,
     conns: HashMap<usize, Connection>,
     next_token: usize,
     reply_depth: usize,
@@ -830,6 +841,9 @@ impl LoopCtx {
             if self.shared.stop.load(Ordering::SeqCst) {
                 self.close_listener();
             }
+            if self.accept_resume.is_some_and(|at| Instant::now() >= at) {
+                self.resume_accept();
+            }
             self.drain_inbox();
             let completions: Vec<usize> = std::mem::take(&mut *self.handle.completions.lock());
             for event in events.drain(..) {
@@ -857,20 +871,49 @@ impl LoopCtx {
         self.teardown_all();
     }
 
-    /// The next `wait` parks until I/O, a wakeup, or the earliest parked
-    /// request's admission deadline.
+    /// The next `wait` parks until I/O, a wakeup, the earliest parked
+    /// request's admission deadline, or the end of an accept backoff.
     fn next_timeout(&self) -> Option<Duration> {
         let now = Instant::now();
         self.conns
             .values()
             .filter_map(|conn| conn.pending.as_ref())
-            .map(|pending| pending.deadline.saturating_duration_since(now))
+            .map(|pending| pending.deadline)
+            .chain(self.accept_resume)
             .min()
+            .map(|deadline| deadline.saturating_duration_since(now))
     }
 
     fn close_listener(&mut self) {
         if let Some(listener) = self.listener.take() {
             let _ = self.handle.poller.delete(listener.as_raw_fd());
+        }
+    }
+
+    /// Take the listener out of the poller for [`ACCEPT_BACKOFF`]. Out of
+    /// file descriptors, `accept` fails while the listener stays readable,
+    /// so a level-triggered poll would otherwise wake at once, forever.
+    fn pause_accept(&mut self) {
+        if let Some(listener) = &self.listener {
+            let _ = self.handle.poller.delete(listener.as_raw_fd());
+            self.accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
+        }
+    }
+
+    /// Put a paused listener back; a connection still waiting in the
+    /// backlog makes it readable at once.
+    fn resume_accept(&mut self) {
+        let (Some(listener), Some(_)) = (&self.listener, self.accept_resume.take()) else {
+            return;
+        };
+        let fd = listener.as_raw_fd();
+        if self
+            .handle
+            .poller
+            .add(fd, LISTENER_KEY, Interest::readable())
+            .is_err()
+        {
+            self.accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
         }
     }
 
@@ -902,6 +945,12 @@ impl LoopCtx {
                 }
                 Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
+                // EMFILE or ENFILE (the same numbers on Linux, the BSDs and
+                // macOS): out of file descriptors.
+                Err(error) if matches!(error.raw_os_error(), Some(23 | 24)) => {
+                    self.pause_accept();
+                    break;
+                }
                 // Transient per-connection accept failures (e.g. the peer
                 // reset before we got to it): re-poll rather than spin.
                 Err(_) => break,
@@ -1251,7 +1300,8 @@ impl LoopCtx {
 
     /// Remove a connection: deregister, roll back any parked request's
     /// counters, and drop the state (closing the socket and disconnecting
-    /// the reply channel, so in-flight workers drop their replies).
+    /// the reply channel, so in-flight workers drop their replies). A
+    /// listener paused on fd exhaustion goes back into the poller.
     fn finalize(&mut self, mut conn: Connection) {
         let _ = self.handle.poller.delete(conn.stream.as_raw_fd());
         if let Some(pending) = conn.pending.take() {
@@ -1261,6 +1311,7 @@ impl LoopCtx {
             drop(pending.job);
         }
         self.shared.live_connections.fetch_sub(1, Ordering::SeqCst);
+        self.resume_accept();
     }
 
     /// Forced shutdown: disconnect every remaining connection and exit.
