@@ -14,8 +14,5 @@ fn main() {
     // `cargo bench` passes harness flags (`--bench`) — ignored — and runs
     // bench binaries with the package root as cwd, so anchor the artifact
     // to the workspace root.
-    wfspeak_bench::run_connection_bench(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_6.json"),
-        1,
-    );
+    wfspeak_bench::run_connection_bench(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_6.json"));
 }

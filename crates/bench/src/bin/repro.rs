@@ -76,7 +76,6 @@ Performance artifacts (rewrite tracked BENCH_N.json snapshots):
                    loopback, 4 -> 256 -> 1024 closed-loop clients
                    -> BENCH_6.json (honours WFSPEAK_CONNECTIONS_MAX as a
                    client-count bound)
-        --io-threads N event-loop threads    [default: 1]
     bench-parse    wyaml parse throughput over the generated configuration
                    corpus: pre-rewrite baseline vs the zero-copy rewrite,
                    plus per-category failure counts -> BENCH_7.json
@@ -86,8 +85,6 @@ Scoring service:
     serve          run the batch scoring server (newline-delimited JSON/TCP)
         --addr A       listen address        [default: 127.0.0.1:7878]
         --workers N    scoring threads       [default: one per core]
-        --io-threads N event-loop threads multiplexing the connections
-                                             [default: 1]
     score          score hypotheses from stdin against a running server
         --addr A       server address        [default: 127.0.0.1:7878]
         --task T       configuration | annotation | translation
@@ -238,9 +235,8 @@ fn bench_scaling() {
     wfspeak_bench::run_runtime_scaling_bench("BENCH_5.json");
 }
 
-fn bench_connections(options: &CliOptions) -> Result<(), String> {
-    wfspeak_bench::run_connection_bench("BENCH_6.json", options.io_threads);
-    Ok(())
+fn bench_connections() {
+    wfspeak_bench::run_connection_bench("BENCH_6.json");
 }
 
 fn bench_parse() {
@@ -267,7 +263,6 @@ struct CliOptions {
     /// `execute` into client mode).
     addr_set: bool,
     workers: usize,
-    io_threads: usize,
     task: String,
     system: String,
     trials: usize,
@@ -301,7 +296,6 @@ impl CliOptions {
             addr: DEFAULT_ADDR.to_owned(),
             addr_set: false,
             workers: 0,
-            io_threads: 1,
             task: "configuration".to_owned(),
             system: "Henson".to_owned(),
             trials: 5,
@@ -333,14 +327,6 @@ impl CliOptions {
                     options.workers = value_of("--workers")?
                         .parse()
                         .map_err(|e| format!("--workers: {e}"))?;
-                }
-                "--io-threads" => {
-                    options.io_threads = value_of("--io-threads")?
-                        .parse()
-                        .map_err(|e| format!("--io-threads: {e}"))?;
-                    if options.io_threads == 0 {
-                        return Err("--io-threads must be at least 1".to_owned());
-                    }
                 }
                 "--task" => options.task = value_of("--task")?,
                 "--system" => options.system = value_of("--system")?,
@@ -466,7 +452,6 @@ fn execute(options: &CliOptions) -> Result<(), String> {
 fn serve(options: &CliOptions) -> Result<(), String> {
     let config = ServiceConfig {
         workers: options.workers,
-        io_threads: options.io_threads,
         ..ServiceConfig::default()
     };
     let server = ScoringServer::spawn(options.addr.as_str(), config)
@@ -656,19 +641,10 @@ fn main() {
     // `serve` and `score` consume the rest of the argument list as options.
     match args.first().map(String::as_str) {
         Some("serve") => {
-            let result = CliOptions::parse(&args[1..], &["--addr", "--workers", "--io-threads"])
-                .and_then(|o| serve(&o));
+            let result =
+                CliOptions::parse(&args[1..], &["--addr", "--workers"]).and_then(|o| serve(&o));
             if let Err(message) = result {
                 eprintln!("repro serve: {message}");
-                std::process::exit(1);
-            }
-            return;
-        }
-        Some("bench-connections") => {
-            let result = CliOptions::parse(&args[1..], &["--io-threads"])
-                .and_then(|o| bench_connections(&o));
-            if let Err(message) = result {
-                eprintln!("repro bench-connections: {message}");
                 std::process::exit(1);
             }
             return;
@@ -779,7 +755,7 @@ fn main() {
 
     // Artifact subcommands: validate everything before running anything, so
     // a typo late in the list doesn't waste a full benchmark run.
-    const ARTIFACTS: [&str; 15] = [
+    const ARTIFACTS: [&str; 16] = [
         "run",
         "table1",
         "table2",
@@ -794,6 +770,7 @@ fn main() {
         "bench-evaluate",
         "bench-execute",
         "bench-scaling",
+        "bench-connections",
         "bench-parse",
     ];
     let selections: Vec<&str> = if args.is_empty() {
@@ -835,6 +812,7 @@ fn main() {
             "bench-evaluate" => bench_evaluate(),
             "bench-execute" => bench_execute(),
             "bench-scaling" => bench_scaling(),
+            "bench-connections" => bench_connections(),
             "bench-parse" => bench_parse(),
             _ => unreachable!("validated above"),
         }

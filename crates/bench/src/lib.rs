@@ -61,8 +61,7 @@
 //!   `requests_per_sec` / `hypotheses_per_sec` rates, and the server-side
 //!   `latency_p50_us` / `latency_p95_us` / `latency_p99_us` percentiles
 //!   from the power-of-two latency histogram (admission → reply handoff).
-//!   `io_threads` records the event-loop count the servers ran with,
-//!   `max_clients` any tier bound in force (the CI smoke caps at 64
+//!   `max_clients` records any tier bound in force (the CI smoke caps at 64
 //!   clients via `WFSPEAK_CONNECTIONS_MAX`; `null` means the full 1024
 //!   sweep), and `summary_checksum` folds the deterministic workload
 //!   counters (not the timings) so two runs of the same configuration are
@@ -1031,8 +1030,6 @@ pub struct ConnectionTierReport {
 pub struct ConnectionScalingReport {
     /// Report schema / sequence tag (`BENCH_6` for the connection bench).
     pub bench_id: String,
-    /// Event-loop threads each tier's server ran with.
-    pub io_threads: usize,
     /// Hypotheses per request.
     pub batch_size: usize,
     /// Closed-loop client think time between requests, milliseconds: the
@@ -1082,7 +1079,6 @@ pub fn connections_max() -> usize {
 /// percentiles. One fresh server per tier keeps the latency histogram
 /// scoped to the tier.
 fn measure_connection_tier(
-    io_threads: usize,
     clients: usize,
     total_requests: usize,
     batch_size: usize,
@@ -1095,7 +1091,6 @@ fn measure_connection_tier(
     // request never parks, and keep the admission timeout generous in
     // case it ever does.
     let config = ServiceConfig {
-        io_threads,
         queue_depth: clients.max(256),
         admission_timeout: std::time::Duration::from_secs(30),
         ..ServiceConfig::default()
@@ -1203,7 +1198,6 @@ pub fn connection_tiers_for(max_clients: usize) -> Vec<usize> {
 /// each pushing `total_requests` requests of `batch_size` hypotheses
 /// through a fresh event-driven server.
 pub fn measure_connection_scaling(
-    io_threads: usize,
     max_clients: usize,
     total_requests: usize,
     batch_size: usize,
@@ -1213,9 +1207,7 @@ pub fn measure_connection_scaling(
     let start = Instant::now();
     let tiers: Vec<ConnectionTierReport> = tiers_to_run
         .iter()
-        .map(|&clients| {
-            measure_connection_tier(io_threads, clients, total_requests, batch_size, think_time)
-        })
+        .map(|&clients| measure_connection_tier(clients, total_requests, batch_size, think_time))
         .collect();
 
     let mut checksum = 0xcbf2_9ce4_8422_2325u64;
@@ -1230,7 +1222,6 @@ pub fn measure_connection_scaling(
     }
     ConnectionScalingReport {
         bench_id: "BENCH_6".to_owned(),
-        io_threads,
         batch_size,
         think_time_ms: think_time.as_millis() as u64,
         max_clients: (max_clients != usize::MAX).then_some(max_clients),
@@ -1247,22 +1238,19 @@ pub fn measure_connection_scaling(
 /// `WFSPEAK_CONNECTIONS_MAX` when set), print the scaling curve and write
 /// the report to `path`. Shared by `repro bench-connections` and the
 /// `connection_scaling` bench binary so the two artifacts cannot drift.
-pub fn run_connection_bench(path: &str, io_threads: usize) {
+pub fn run_connection_bench(path: &str) {
     let report = measure_connection_scaling(
-        io_threads,
         connections_max(),
         4096,
         4,
         std::time::Duration::from_millis(2),
     );
     println!(
-        "Connection scaling: {} tiers, {} requests ({} hypotheses) in {:.2}s \
-         with {} io thread(s) (checksum {})",
+        "Connection scaling: {} tiers, {} requests ({} hypotheses) in {:.2}s (checksum {})",
         report.tiers.len(),
         report.total_requests,
         report.total_hypotheses,
         report.wall_time_secs,
-        report.io_threads,
         report.summary_checksum,
     );
     for tier in &report.tiers {
@@ -1318,9 +1306,8 @@ mod tests {
     fn connection_scaling_report_is_consistent() {
         // Tiny sweep: a 2-client cap falls below every sweep point, so the
         // bench runs a single 2-client tier.
-        let report = measure_connection_scaling(1, 2, 8, 2, std::time::Duration::ZERO);
+        let report = measure_connection_scaling(2, 8, 2, std::time::Duration::ZERO);
         assert_eq!(report.bench_id, "BENCH_6");
-        assert_eq!(report.io_threads, 1);
         assert_eq!(report.max_clients, Some(2));
         assert_eq!(report.tiers.len(), 1);
         let tier = &report.tiers[0];
@@ -1337,7 +1324,7 @@ mod tests {
         assert!(tier.wall_time_secs > 0.0 && tier.requests_per_sec > 0.0);
         // The checksum folds only workload counters, so a re-run of the
         // same configuration matches bit for bit.
-        let rerun = measure_connection_scaling(1, 2, 8, 2, std::time::Duration::ZERO);
+        let rerun = measure_connection_scaling(2, 8, 2, std::time::Duration::ZERO);
         assert_eq!(report.summary_checksum, rerun.summary_checksum);
         let json = report.to_json();
         assert!(json.contains("\"bench_id\": \"BENCH_6\""));

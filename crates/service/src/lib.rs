@@ -17,16 +17,23 @@
 //!   one-off references do not fill it. [`ServiceStats`] reports its hit
 //!   rate.
 //! * **Event-driven I/O** ([`server`], [`framing`]) — one nonblocking
-//!   event-loop thread (or a few, `ServiceConfig::io_threads`) multiplexes
-//!   every connection via the vendored `polling` shim (epoll/poll); each
-//!   connection is a state machine assembling frames of at most
-//!   [`MAX_FRAME_BYTES`] with [`FrameDecoder`] over the vendored `bytes`
-//!   crate, so thousands of connections cost table entries, not thread
-//!   pairs.
+//!   event-loop thread multiplexes every connection via the vendored
+//!   `polling` shim (epoll/poll); each connection is a state machine
+//!   assembling frames of at most [`MAX_FRAME_BYTES`] with [`FrameDecoder`]
+//!   over the vendored `bytes` crate, so thousands of connections cost
+//!   table entries and one file descriptor each, not thread pairs.
 //! * **Bounded worker pool** ([`server`]) — scoring runs on a fixed pool fed
 //!   by a bounded queue; when the pool is saturated, the loop parks the
 //!   connection's request and mutes its read interest, pushing backpressure
 //!   into the clients' TCP windows instead of buffering unboundedly.
+//!   Workers hand every reply to the event loop, which alone writes it, so
+//!   a worker never waits on a client. The loop stops reading a connection
+//!   that holds [`REPLY_BUDGET`] replies admitted but not yet written, and
+//!   disconnects one whose queued reply bytes have not moved for
+//!   [`WRITE_IDLE_TIMEOUT`]; there is no other stall timeout. A request
+//!   with more hypotheses than [`MAX_SCORE_HYPOTHESES`] (or
+//!   [`MAX_EXECUTE_HYPOTHESES`] for `execute`) gets a typed
+//!   `"request-too-large"` error.
 //! * **Latency percentiles** ([`latency`]) — workers record each request's
 //!   admission→reply time in a lock-free power-of-two-bucket
 //!   [`LatencyHistogram`]; `stats` responses surface p50/p95/p99.
@@ -108,4 +115,7 @@ pub use protocol::{
     ServiceStats, TaskKind, DEFAULT_ADDR,
 };
 pub use resilient::{ResilientClient, RetriesExhausted, RetryPolicy};
-pub use server::{ScoringServer, ServiceConfig};
+pub use server::{
+    ScoringServer, ServiceConfig, MAX_EXECUTE_HYPOTHESES, MAX_SCORE_HYPOTHESES, REPLY_BUDGET,
+    WRITE_IDLE_TIMEOUT,
+};

@@ -519,7 +519,8 @@ pub struct ScoreResponse {
     /// request-specific failures. `"overloaded"` means the server's bounded
     /// job queue was full and the request was shed — retry later.
     /// `"frame-too-large"` means a request line passed the server's frame
-    /// limit and was skipped unread.
+    /// limit and was skipped unread. `"request-too-large"` means the
+    /// request carried more hypotheses than the server's per-request cap.
     pub error_kind: Option<String>,
     /// Per-hypothesis scores, in request order. Empty on failure, for
     /// `stats` requests and for `evaluate` requests (which fill
@@ -644,6 +645,24 @@ impl ScoreResponse {
             ..ScoreResponse::failure(
                 0,
                 format!("request line longer than {max_bytes} bytes; skipped to its newline"),
+            )
+        }
+    }
+
+    /// A typed oversized-request response: the request carried
+    /// `hypotheses` hypotheses, more than the server's per-request `cap`
+    /// for its mode, so it was refused before any work started and not
+    /// counted. Resending it unchanged gets the same answer; split it
+    /// across pipelined requests instead.
+    pub fn request_too_large(id: u64, hypotheses: usize, cap: usize) -> Self {
+        ScoreResponse {
+            error_kind: Some("request-too-large".to_owned()),
+            ..ScoreResponse::failure(
+                id,
+                format!(
+                    "request of {hypotheses} hypotheses exceeds the per-request cap of {cap}; \
+                     split it across pipelined requests"
+                ),
             )
         }
     }

@@ -15,9 +15,9 @@
 //!   function of its payload (scoring, evaluation and execution are
 //!   deterministic and the server holds no per-request state), so resending
 //!   after a transport failure or a typed `"overloaded"` shed is always
-//!   safe. Typed terminal errors (`"internal"`, `"deadline"`, malformed
-//!   request) are **not** retried: the server answered, the answer is the
-//!   result.
+//!   safe. Typed terminal errors (`"internal"`, `"deadline"`,
+//!   `"frame-too-large"`, `"request-too-large"`, malformed request) are
+//!   **not** retried: the server answered, the answer is the result.
 //! * **Deadlines** — [`RetryPolicy::deadline_ms`] rides every request on
 //!   the wire (the server drops expired queued jobs) and doubles as the
 //!   per-attempt read timeout, so a dropped response can never hang the

@@ -1,13 +1,13 @@
-//! The scoring server: a small set of nonblocking I/O loops multiplexing
-//! every connection, feeding the shared worker pool.
+//! The scoring server: one nonblocking I/O loop multiplexing every
+//! connection, feeding the shared worker pool.
 //!
 //! ```text
 //!                 ┌──────────────────────────────────────────────────┐
 //!                 │                  ScoringServer                   │
-//!  client A ─TCP─▶│  I/O loop(s): epoll/poll readiness, one thread   │─▶ client A
-//!  client B ─TCP─▶│  per loop, every connection a state machine      │─▶ client B
+//!  client A ─TCP─▶│  I/O loop: epoll/poll readiness on one thread,   │─▶ client A
+//!  client B ─TCP─▶│  every connection a state machine                │─▶ client B
 //!  client C ─TCP─▶│   [decode frames]──▶ bounded job queue ──┐       │─▶ client C
-//!                 │   [flush replies]◀── completion wakeups ◀┤       │
+//!                 │   [flush replies]◀── completed replies ◀─┤       │
 //!                 │                                     worker pool  │
 //!                 │                                     (N threads,  │
 //!                 │                                      ServiceState│
@@ -15,32 +15,35 @@
 //!                 └──────────────────────────────────────────────────┘
 //! ```
 //!
-//! * **I/O loops** ([`ServiceConfig::io_threads`], default 1) own the
-//!   listener (loop 0) and all connection sockets, registered with the
-//!   vendored [`polling`] readiness shim. Each connection is a state
-//!   machine: bytes read nonblockingly are assembled into frames by a
-//!   [`FrameDecoder`], parsed requests are
-//!   admitted to the bounded job queue, and encoded replies are flushed
-//!   back through a per-connection write queue. No thread ever blocks on
-//!   one client's socket. When `accept` runs out of file descriptors, the
-//!   listener leaves the poller until one of the loop's connections closes
-//!   or a 100 ms backoff passes, so the loop sleeps instead of spinning
-//!   on a listener that stays readable.
+//! * **The I/O loop** owns the listener and every connection socket,
+//!   registered with the vendored [`polling`] readiness shim. Each
+//!   connection is a state machine: bytes read nonblockingly are assembled
+//!   into frames by a [`FrameDecoder`], parsed requests are admitted to the
+//!   bounded job queue, and replies are flushed back through a
+//!   per-connection write queue. No thread ever blocks on one client's
+//!   socket. When `accept` runs out of file descriptors, the listener
+//!   leaves the poller until a connection closes or a 100 ms backoff
+//!   passes, so the loop sleeps instead of spinning on a listener that
+//!   stays readable.
+//! * **Reply backpressure**: a connection may hold at most
+//!   [`REPLY_BUDGET`] replies admitted but not yet written (jobs queued or
+//!   running, plus replies waiting for its socket). At the budget the loop
+//!   stops reading it, so a client that pipelines without reading fills
+//!   its own TCP window, not the shared job queue. A connection whose
+//!   queued reply bytes have not moved for [`WRITE_IDLE_TIMEOUT`] has
+//!   stopped reading and is disconnected.
 //! * **Admission control**: when the job queue is full, the connection
 //!   *parks* the decoded request — its read interest is muted, so
 //!   backpressure propagates into the client's TCP window — and retries on
 //!   every queue-space wakeup until [`ServiceConfig::admission_timeout`]
 //!   elapses, at which point the request is **shed** with a typed
 //!   `"overloaded"` protocol error ([`ScoreResponse::overloaded`]).
-//! * **The worker pool** is unchanged: a fixed set of threads dequeue jobs,
-//!   enforce deadlines, run the handler under `catch_unwind`, and hand each
-//!   reply to the owning connection's bounded reply channel. A client that
-//!   pipelines without reading stalls its channel for
-//!   [`ServiceConfig::reply_stall_timeout`] and is then disconnected. After
-//!   every reply the worker pushes a completion token and wakes the
-//!   connection's I/O loop to flush. When the pool has a worker for every
-//!   CPU, each worker is pinned to a CPU of its own, so two busy workers
-//!   never share one CPU while another idles.
+//! * **The worker pool**: a fixed set of threads dequeue jobs, enforce
+//!   deadlines, run the handler under `catch_unwind`, and hand each encoded
+//!   reply to the I/O loop's completion list, then wake the loop and move
+//!   on: a worker never waits on a client. When the pool has a worker for
+//!   every CPU, each worker is pinned to a CPU of its own, so two busy
+//!   workers never share one CPU while another idles.
 //! * All workers share one [`ReferenceCache`]: the first request against a
 //!   reference prepares it (tokenise + intern + count), every later request
 //!   from *any* connection reuses the prepared form. The cache is sharded
@@ -48,19 +51,22 @@
 //!   inline `reference_text` is kept only from its second sighting.
 //! * A frame longer than [`MAX_FRAME_BYTES`] is never buffered whole: the
 //!   connection answers it with a typed `"frame-too-large"` error, skips
-//!   its bytes up to the next newline and keeps serving.
+//!   its bytes up to the next newline and keeps serving. A request with
+//!   more hypotheses than [`MAX_SCORE_HYPOTHESES`] (`score`, `evaluate`) or
+//!   [`MAX_EXECUTE_HYPOTHESES`] (`execute`) is answered with a typed
+//!   `"request-too-large"` error and not counted.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam_channel::{bounded, Receiver, SendTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use polling::{Event, Interest, Poller};
 use wfspeak_core::eval::{evaluate_prepared, SystemProfile};
@@ -77,12 +83,38 @@ use crate::protocol::{
     RequestMode, ScoreRequest, ScoreResponse, ServiceStats,
 };
 
-/// Poller key reserved for the listening socket (loop 0 only).
+/// Poller key reserved for the listening socket.
 const LISTENER_KEY: usize = usize::MAX - 1;
 
 /// How long the listener stays out of the poller after `accept` ran out of
-/// file descriptors, unless one of the loop's connections closes first.
+/// file descriptors, unless a connection closes first.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+
+/// Most replies one connection may hold admitted but not yet written: jobs
+/// queued, parked or running, plus reply segments waiting for its socket
+/// (a torn reply is two). At the budget the I/O loop stops reading the
+/// connection. It sits well under the default job-queue depth of 256, so
+/// clients that pipeline without reading cannot fill the queue.
+pub const REPLY_BUDGET: usize = 64;
+
+/// How long a connection's queued reply bytes may sit without moving to
+/// its socket before the I/O loop disconnects it: the client has stopped
+/// reading. The loop writes when it serves the connection, which a full
+/// socket asks for again only once the client has read part of what the
+/// socket holds.
+pub const WRITE_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Most hypotheses one `score` or `evaluate` request may carry. A larger
+/// request is answered with a typed `"request-too-large"` error
+/// ([`ScoreResponse::request_too_large`]) without being scored.
+pub const MAX_SCORE_HYPOTHESES: usize = 4096;
+
+/// Most hypotheses one `execute` request may carry. Each execution parses,
+/// validates and runs a whole workflow on the worker, so the cap is lower
+/// than [`MAX_SCORE_HYPOTHESES`]; larger batches get the same typed
+/// `"request-too-large"` error and should be split across pipelined
+/// requests.
+pub const MAX_EXECUTE_HYPOTHESES: usize = 64;
 
 /// Tunables for [`ScoringServer::spawn`].
 #[derive(Debug, Clone)]
@@ -92,11 +124,6 @@ pub struct ServiceConfig {
     /// to a CPU of its own, in turn; a smaller pool is left to the
     /// scheduler.
     pub workers: usize,
-    /// Nonblocking I/O loop threads multiplexing the connections. Loop 0
-    /// also owns the listener; new connections are dealt round-robin.
-    /// `0` is treated as 1 — one loop comfortably drives hundreds of
-    /// connections because it never blocks on any of them.
-    pub io_threads: usize,
     /// Bounded job-queue depth; connections park (backpressure) when full.
     pub queue_depth: usize,
     /// Cap on distinct references kept prepared in the shared cache. The
@@ -114,27 +141,10 @@ pub struct ServiceConfig {
     /// 4 MiB) that this cap does not change; once it is spent, further
     /// inline references are prepared per request and not kept.
     pub max_cached_references: usize,
-    /// How long a worker waits to hand a response to a connection whose
-    /// reply buffer is full before disconnecting that client (a client that
-    /// pipelines heavily but never reads would otherwise wedge the shared
-    /// pool).
-    pub reply_stall_timeout: std::time::Duration,
-    /// Per-connection reply-buffer depth: responses queued between the
-    /// worker pool and the connection's write queue.  When a client stops
-    /// reading, this buffer (plus the kernel's socket buffers) is all the
-    /// slack it gets before workers start hitting
-    /// [`reply_stall_timeout`](ServiceConfig::reply_stall_timeout).
-    pub reply_queue_depth: usize,
     /// How long a parked request waits for space in the bounded job queue
     /// before being shed with a typed `"overloaded"` error. Zero sheds
     /// immediately whenever the queue is full.
     pub admission_timeout: std::time::Duration,
-    /// Maximum hypotheses per `mode: "execute"` request.  Each execution
-    /// parses, validates and runs a whole workflow on the worker, so one
-    /// oversized batch must not pin a shared worker; larger batches are
-    /// rejected with an error and should be split across pipelined
-    /// requests.
-    pub max_execute_batch: usize,
     /// How long [`shutdown`](ScoringServer::shutdown) waits for admitted
     /// work to finish (queue drained, in-flight jobs replied) before
     /// force-disconnecting the remaining connections.
@@ -149,13 +159,9 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 0,
-            io_threads: 1,
             queue_depth: 256,
             max_cached_references: 4096,
-            reply_stall_timeout: std::time::Duration::from_secs(10),
-            reply_queue_depth: 256,
             admission_timeout: std::time::Duration::from_millis(250),
-            max_execute_batch: 64,
             drain_timeout: std::time::Duration::from_secs(5),
             faults: None,
         }
@@ -171,10 +177,6 @@ impl ServiceConfig {
             .map(|n| n.get())
             .unwrap_or(1)
     }
-
-    fn effective_io_threads(&self) -> usize {
-        self.io_threads.max(1)
-    }
 }
 
 /// Scorers, the shared prepared-reference cache and lifetime counters —
@@ -186,7 +188,6 @@ struct ServiceState {
     cache: ReferenceCache,
     executor: ExecutionPipeline,
     max_cached_references: usize,
-    max_execute_batch: usize,
     requests: AtomicU64,
     hypotheses: AtomicU64,
     /// Jobs admitted to the bounded queue (or parked waiting for it) and
@@ -200,7 +201,7 @@ struct ServiceState {
     /// Panicking jobs caught and answered as `"internal"`; each one stands
     /// for a worker the pool had to replace.
     worker_restarts: AtomicU64,
-    /// Per-request latency (admission → reply handed to the write path) in
+    /// Per-request latency (admission → reply handed to the I/O loop) in
     /// power-of-two buckets; the `stats` response reports p50/p95/p99.
     latency: LatencyHistogram,
     /// The deterministic fault schedule, when chaos testing is enabled.
@@ -221,7 +222,6 @@ impl ServiceState {
             // reference text must not grow server memory without limit.
             executor: ExecutionPipeline::default().with_cache_cap(config.max_cached_references),
             max_cached_references: config.max_cached_references,
-            max_execute_batch: config.max_execute_batch,
             requests: AtomicU64::new(0),
             hypotheses: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
@@ -287,6 +287,15 @@ impl ServiceState {
                 }
             }
         };
+        // Every hypothesis is work on this worker and a part of the reply;
+        // bound what one request can pin the worker with.
+        let cap = match mode {
+            RequestMode::Score | RequestMode::Evaluate => MAX_SCORE_HYPOTHESES,
+            RequestMode::Execute => MAX_EXECUTE_HYPOTHESES,
+        };
+        if request.hypotheses.len() > cap {
+            return ScoreResponse::request_too_large(request.id, request.hypotheses.len(), cap);
+        }
         if mode == RequestMode::Execute {
             // `system_id` is always `Some` here (resolved just above for
             // execute mode), but the invariant is guarded by a typed
@@ -299,19 +308,6 @@ impl ServiceState {
                      (`system` or `reference_id`)",
                 );
             };
-            // Each execution is a full parse and engine run on this worker;
-            // bound what one request can pin the worker with.
-            if request.hypotheses.len() > self.max_execute_batch {
-                return ScoreResponse::failure(
-                    request.id,
-                    format!(
-                        "execute batch of {} exceeds the per-request cap of {}; \
-                         split it across pipelined requests",
-                        request.hypotheses.len(),
-                        self.max_execute_batch
-                    ),
-                );
-            }
             // Resolve the reference run first so a bad reference is a
             // failure (uncounted), matching every other addressing error.
             let summary = match self.executor.reference_summary(system, reference) {
@@ -385,78 +381,38 @@ impl ServiceState {
     }
 }
 
-/// One I/O loop's cross-thread mailbox: its poller (for wakeups), the
-/// completion tokens workers push after answering a job, and the inbox of
-/// freshly accepted sockets loop 0 deals out.
-#[derive(Debug)]
-struct IoLoopHandle {
-    poller: Poller,
-    completions: Mutex<Vec<usize>>,
-    inbox: Mutex<Vec<TcpStream>>,
-}
-
-impl IoLoopHandle {
-    fn new() -> std::io::Result<Self> {
-        Ok(IoLoopHandle {
-            poller: Poller::new()?,
-            completions: Mutex::default(),
-            inbox: Mutex::default(),
-        })
-    }
-}
-
-/// Lifecycle flags and counters shared by every I/O loop and worker.
-#[derive(Debug, Default)]
+/// What the I/O loop shares with the workers and the server handle: its
+/// poller (for wakeups), the replies workers hand back, and lifecycle flags
+/// and counters.
 struct IoShared {
+    poller: Poller,
+    /// Finished jobs, in the order workers finished them: the token of the
+    /// connection the reply goes to, and the reply (`None` when an injected
+    /// fault drops it).
+    completions: Mutex<Vec<(usize, Option<Reply>)>>,
     /// Stop accepting new connections (set first during shutdown).
     stop: AtomicBool,
-    /// Tear down all connections and exit the I/O loops (set after drain).
+    /// Tear down all connections and exit the I/O loop (set after drain).
     closing: AtomicBool,
-    /// Connections currently registered with an I/O loop.
+    /// Connections currently registered with the I/O loop.
     live_connections: AtomicUsize,
-    /// Requests parked on a full job queue across all loops; workers only
-    /// broadcast queue-space wakeups while this is nonzero.
+    /// Requests parked on a full job queue; workers only send queue-space
+    /// wakeups while this is nonzero.
     parked: AtomicUsize,
-    /// Round-robin cursor for dealing accepted sockets to loops.
-    next_loop: AtomicUsize,
 }
 
-/// How a finished job finds its way back to the connection that sent it:
-/// decrement the connection's outstanding-job count, push the connection's
-/// token onto its I/O loop's completion list, and wake that loop to flush.
-struct CompletionHandle {
-    io_loop: Arc<IoLoopHandle>,
-    token: usize,
-    outstanding: Arc<AtomicU64>,
-}
-
-impl CompletionHandle {
-    fn complete(&self) {
-        // Decrement *after* the reply was pushed (or deliberately dropped):
-        // an I/O loop that reads zero here can trust the reply channel to
-        // already hold every reply this connection will ever get.
-        self.outstanding.fetch_sub(1, Ordering::SeqCst);
-        self.io_loop.completions.lock().push(self.token);
-        let _ = self.io_loop.poller.notify();
-    }
-}
-
-/// One unit of work for the pool: a parsed (or unparsable) request line,
-/// the sender that routes the response line back to the right connection,
-/// the connection's socket so a stalled connection can be disconnected, and
-/// the completion handle that wakes the connection's I/O loop afterwards.
+/// One unit of work for the pool: a parsed (or unparsable) request line
+/// and the token of the connection its reply goes back to.
 struct Job {
     request: Result<ScoreRequest, ScoreResponse>,
-    reply: Sender<Reply>,
-    peer: Arc<TcpStream>,
+    token: usize,
     /// When the I/O loop admitted this job; the worker checks the
     /// request's `deadline_ms` against it before scoring.
     admitted: Instant,
-    completion: CompletionHandle,
 }
 
 /// One response line on its way to a connection's write queue, plus the
-/// write-path fault (if any) the flusher must apply to it.
+/// write-path fault (if any) the I/O loop must apply to it.
 struct Reply {
     line: String,
     fault: Option<WriteFault>,
@@ -489,21 +445,21 @@ struct PendingJob {
     deadline: Instant,
 }
 
-/// Per-connection state machine.
+/// Per-connection state machine, owned by the I/O loop.
 struct Connection {
     stream: TcpStream,
-    /// Blocking clone handed to workers so a reply-stall can disconnect.
-    peer: Arc<TcpStream>,
     decoder: FrameDecoder,
-    reply_tx: Sender<Reply>,
-    reply_rx: Receiver<Reply>,
     out: VecDeque<OutSegment>,
     /// Bytes of `out.front()` already written.
     out_pos: usize,
+    /// When to disconnect the client if no queued byte moves before then;
+    /// armed while `out` is nonempty, cleared by every write that makes
+    /// progress.
+    write_deadline: Option<Instant>,
     pending: Option<PendingJob>,
-    /// Jobs admitted from this connection whose replies have not yet been
-    /// pushed (or deliberately dropped) by a worker.
-    outstanding: Arc<AtomicU64>,
+    /// Jobs admitted from this connection (queued, parked or running) whose
+    /// replies have not reached `out`.
+    outstanding: usize,
     /// The client half-closed (EOF) or sent bytes we refuse to parse; no
     /// more requests will be read, but queued work still drains.
     read_closed: bool,
@@ -511,6 +467,29 @@ struct Connection {
     registered: Interest,
     /// Marked for removal (error, deliberate disconnect, or fully drained).
     dead: bool,
+}
+
+impl Connection {
+    fn new(stream: TcpStream) -> Self {
+        Connection {
+            stream,
+            decoder: FrameDecoder::new(),
+            out: VecDeque::new(),
+            out_pos: 0,
+            write_deadline: None,
+            pending: None,
+            outstanding: 0,
+            read_closed: false,
+            registered: Interest::readable(),
+            dead: false,
+        }
+    }
+
+    /// Replies admitted but not yet written, counted against
+    /// [`REPLY_BUDGET`].
+    fn backlog(&self) -> usize {
+        self.outstanding + self.out.len()
+    }
 }
 
 /// A running scoring server.
@@ -523,30 +502,32 @@ pub struct ScoringServer {
     addr: std::net::SocketAddr,
     state: Arc<ServiceState>,
     shared: Arc<IoShared>,
-    loops: Vec<Arc<IoLoopHandle>>,
-    io_handles: Vec<JoinHandle<()>>,
+    io_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
     drain_timeout: Duration,
 }
 
 impl ScoringServer {
     /// Bind `addr` (use port 0 for an ephemeral port) and start the I/O
-    /// loops plus the worker pool.
+    /// loop plus the worker pool.
     pub fn spawn(addr: impl ToSocketAddrs, config: ServiceConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let state = ServiceState::new(&config)
             .map_err(|message| std::io::Error::new(std::io::ErrorKind::InvalidInput, message))?;
         let state = Arc::new(state);
-        let shared = Arc::new(IoShared::default());
+        let shared = Arc::new(IoShared {
+            poller: Poller::new()?,
+            completions: Mutex::default(),
+            stop: AtomicBool::new(false),
+            closing: AtomicBool::new(false),
+            live_connections: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
+        });
 
-        let loops = (0..config.effective_io_threads())
-            .map(|_| IoLoopHandle::new().map(Arc::new))
-            .collect::<std::io::Result<Vec<_>>>()?;
-
-        let (job_tx, job_rx) = bounded::<Job>(config.queue_depth.max(1));
-        // The vendored channel's receiver is single-consumer; workers take
-        // turns holding the lock while blocked in `recv`, which serialises
+        let (job_tx, job_rx) = sync_channel::<Job>(config.queue_depth.max(1));
+        // The channel's receiver is single-consumer; workers take turns
+        // holding the lock while blocked in `recv`, which serialises
         // dequeueing only — scoring itself runs in parallel.
         let job_rx = Arc::new(Mutex::new(job_rx));
 
@@ -556,43 +537,31 @@ impl ScoringServer {
                 let state = Arc::clone(&state);
                 let job_rx = Arc::clone(&job_rx);
                 let shared = Arc::clone(&shared);
-                let loops = loops.clone();
-                let stall_timeout = config.reply_stall_timeout;
                 std::thread::spawn(move || {
                     affinity::pin_worker(index, workers);
-                    worker_loop(&state, &job_rx, stall_timeout, &shared, &loops)
+                    worker_loop(&state, &job_rx, &shared)
                 })
             })
             .collect();
 
-        let mut listener = Some(listener);
-        let io_handles = (0..loops.len())
-            .map(|index| {
-                let ctx = LoopCtx {
-                    index,
-                    handle: Arc::clone(&loops[index]),
-                    loops: loops.clone(),
-                    shared: Arc::clone(&shared),
-                    state: Arc::clone(&state),
-                    job_tx: job_tx.clone(),
-                    listener: if index == 0 { listener.take() } else { None },
-                    accept_resume: None,
-                    conns: HashMap::new(),
-                    next_token: 0,
-                    reply_depth: config.reply_queue_depth.max(1),
-                    admission_timeout: config.admission_timeout,
-                    scratch: vec![0u8; 16 * 1024],
-                };
-                std::thread::spawn(move || ctx.run())
-            })
-            .collect();
+        let ctx = LoopCtx {
+            shared: Arc::clone(&shared),
+            state: Arc::clone(&state),
+            job_tx,
+            listener: Some(listener),
+            accept_resume: None,
+            conns: HashMap::new(),
+            next_token: 0,
+            admission_timeout: config.admission_timeout,
+            scratch: vec![0u8; 16 * 1024],
+        };
+        let io_handle = Some(std::thread::spawn(move || ctx.run()));
 
         Ok(ScoringServer {
             addr,
             state,
             shared,
-            loops,
-            io_handles,
+            io_handle,
             worker_handles,
             drain_timeout: config.drain_timeout,
         })
@@ -608,7 +577,7 @@ impl ScoringServer {
         self.state.stats()
     }
 
-    /// Connections currently registered with the I/O loops. Returns to zero
+    /// Connections currently registered with the I/O loop. Returns to zero
     /// once every client has disconnected and been cleaned up — the
     /// overload regression tests pin that no shed or lost connection leaks
     /// an entry.
@@ -616,10 +585,10 @@ impl ScoringServer {
         self.shared.live_connections.load(Ordering::SeqCst)
     }
 
-    /// Block the calling thread for the server's lifetime (the I/O loops
-    /// only exit on shutdown). `repro serve` parks on this.
+    /// Block the calling thread for the server's lifetime (the I/O loop
+    /// only exits on shutdown). `repro serve` parks on this.
     pub fn wait(mut self) {
-        for handle in self.io_handles.drain(..) {
+        if let Some(handle) = self.io_handle.take() {
             let _ = handle.join();
         }
     }
@@ -637,9 +606,7 @@ impl ScoringServer {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for handle in &self.loops {
-            let _ = handle.poller.notify();
-        }
+        let _ = self.shared.poller.notify();
         // Drain phase: wait (bounded by the drain deadline) until every
         // admitted job has left the queue and been replied to, so clients
         // that are reading receive everything they were promised. Clients
@@ -654,18 +621,16 @@ impl ScoringServer {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Brief grace so the I/O loops can flush replies that are queued
+        // Brief grace so the I/O loop can flush replies that are queued
         // but not yet on the wire; best-effort only — the force-disconnect
         // below is the correctness backstop.
         std::thread::sleep(Duration::from_millis(20).min(self.drain_timeout));
-        // Force-disconnect clients that have not hung up: the loops tear
-        // down their connection tables and exit, dropping the last job
-        // senders so workers drain the queue and observe disconnect.
+        // Force-disconnect clients that have not hung up: the loop tears
+        // down its connection table and exits, dropping the job sender so
+        // workers drain the queue and observe disconnect.
         self.shared.closing.store(true, Ordering::SeqCst);
-        for handle in &self.loops {
-            let _ = handle.poller.notify();
-        }
-        for handle in self.io_handles.drain(..) {
+        let _ = self.shared.poller.notify();
+        if let Some(handle) = self.io_handle.take() {
             let _ = handle.join();
         }
         for handle in self.worker_handles.drain(..) {
@@ -676,19 +641,13 @@ impl ScoringServer {
 
 impl Drop for ScoringServer {
     fn drop(&mut self) {
-        if !self.io_handles.is_empty() {
+        if self.io_handle.is_some() {
             self.stop_and_join();
         }
     }
 }
 
-fn worker_loop(
-    state: &ServiceState,
-    jobs: &Mutex<Receiver<Job>>,
-    stall_timeout: std::time::Duration,
-    shared: &IoShared,
-    loops: &[Arc<IoLoopHandle>],
-) {
+fn worker_loop(state: &ServiceState, jobs: &Mutex<Receiver<Job>>, shared: &IoShared) {
     loop {
         // Holding the lock across `recv` parks exactly one idle worker on the
         // channel; it wakes, releases the lock, and scores while the next
@@ -702,12 +661,10 @@ fn worker_loop(
         // mid-handoff.
         state.inflight.fetch_add(1, Ordering::SeqCst);
         state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        // This dequeue freed a queue slot; wake the I/O loops if any
+        // This dequeue freed a queue slot; wake the I/O loop if a
         // connection is parked waiting for one.
         if shared.parked.load(Ordering::SeqCst) > 0 {
-            for handle in loops {
-                let _ = handle.poller.notify();
-            }
+            let _ = shared.poller.notify();
         }
         // One schedule draw per dequeued job: the Nth job a server handles
         // always gets the Nth fault decision, so chaos runs replay.
@@ -717,28 +674,23 @@ fn worker_loop(
             .map_or(FaultAction::None, FaultInjector::next_action);
         let response = respond_to_job(state, &job, action);
         let line = encode_line(&response);
-        // A disconnected error means the connection is gone (client hung up
-        // mid-flight); the response is dropped, matching TCP semantics. A
-        // timeout means the client's reply buffer stayed full for the whole
-        // stall window — it is pipelining without reading — so disconnect
-        // it rather than let one slow reader wedge the shared pool.
-        let outcome = match action.write_fault() {
+        let reply = match action.write_fault() {
             // The response evaporates; clients need deadlines + retries.
-            Some(WriteFault::Drop) => Ok(()),
+            Some(WriteFault::Drop) => None,
             Some(WriteFault::Delay { millis }) => {
                 std::thread::sleep(Duration::from_millis(millis));
-                job.reply
-                    .send_timeout(Reply { line, fault: None }, stall_timeout)
+                Some(Reply { line, fault: None })
             }
             // Torn/disconnect faults reshape the bytes on the wire; the
-            // connection's write path applies them at flush time.
-            fault => job.reply.send_timeout(Reply { line, fault }, stall_timeout),
+            // I/O loop applies them when it queues the reply.
+            fault => Some(Reply { line, fault }),
         };
-        if let Err(SendTimeoutError::Timeout) = outcome {
-            let _ = job.peer.shutdown(Shutdown::Both);
-        }
+        // Hand the reply to the I/O loop, which owns the connection's write
+        // path, and move on: however slowly the client reads, the worker
+        // never waits for it.
         state.latency.record(job.admitted.elapsed());
-        job.completion.complete();
+        shared.completions.lock().push((job.token, reply));
+        let _ = shared.poller.notify();
         state.inflight.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -796,22 +748,19 @@ fn fault_offset(len: usize, percent: u8) -> usize {
     len * usize::from(percent % 100) / 100
 }
 
-/// Everything one I/O loop thread owns: its registered connections, the
-/// shared handles, and the listener (loop 0 only).
+/// Everything the I/O loop thread owns: the listener, the registered
+/// connections and the shared handles.
 struct LoopCtx {
-    index: usize,
-    handle: Arc<IoLoopHandle>,
-    loops: Vec<Arc<IoLoopHandle>>,
     shared: Arc<IoShared>,
     state: Arc<ServiceState>,
-    job_tx: Sender<Job>,
+    job_tx: SyncSender<Job>,
     listener: Option<TcpListener>,
     /// Set while the listener is out of the poller because `accept` ran
     /// out of file descriptors: when to put it back at the latest.
     accept_resume: Option<Instant>,
     conns: HashMap<usize, Connection>,
+    /// Never reused, so a reply for a closed connection finds no entry.
     next_token: usize,
-    reply_depth: usize,
     admission_timeout: Duration,
     scratch: Vec<u8>,
 }
@@ -823,7 +772,7 @@ impl LoopCtx {
                 return;
             }
             if self
-                .handle
+                .shared
                 .poller
                 .add(listener.as_raw_fd(), LISTENER_KEY, Interest::readable())
                 .is_err()
@@ -834,7 +783,7 @@ impl LoopCtx {
         let mut events: Vec<Event> = Vec::new();
         loop {
             let timeout = self.next_timeout();
-            let _ = self.handle.poller.wait(&mut events, timeout);
+            let _ = self.shared.poller.wait(&mut events, timeout);
             if self.shared.closing.load(Ordering::SeqCst) {
                 break;
             }
@@ -844,8 +793,7 @@ impl LoopCtx {
             if self.accept_resume.is_some_and(|at| Instant::now() >= at) {
                 self.resume_accept();
             }
-            self.drain_inbox();
-            let completions: Vec<usize> = std::mem::take(&mut *self.handle.completions.lock());
+            let completions = std::mem::take(&mut *self.shared.completions.lock());
             for event in events.drain(..) {
                 if event.key == LISTENER_KEY {
                     self.accept_ready();
@@ -853,18 +801,22 @@ impl LoopCtx {
                     self.service(event.key);
                 }
             }
-            for token in completions {
-                self.service(token);
+            for (token, reply) in completions {
+                self.complete(token, reply);
             }
-            // Parked requests retry on every wake: queue-space broadcasts,
-            // completions and deadline timeouts all land here.
-            let parked: Vec<usize> = self
+            // Parked requests retry on every wake: queue-space wakeups,
+            // completions and deadline timeouts all land here, and so do
+            // write-idle deadlines that have passed.
+            let now = Instant::now();
+            let due: Vec<usize> = self
                 .conns
                 .iter()
-                .filter(|(_, conn)| conn.pending.is_some())
+                .filter(|(_, conn)| {
+                    conn.pending.is_some() || conn.write_deadline.is_some_and(|at| now >= at)
+                })
                 .map(|(token, _)| *token)
                 .collect();
-            for token in parked {
+            for token in due {
                 self.service(token);
             }
         }
@@ -872,13 +824,16 @@ impl LoopCtx {
     }
 
     /// The next `wait` parks until I/O, a wakeup, the earliest parked
-    /// request's admission deadline, or the end of an accept backoff.
+    /// request's admission deadline or write-idle deadline, or the end of
+    /// an accept backoff.
     fn next_timeout(&self) -> Option<Duration> {
         let now = Instant::now();
         self.conns
             .values()
-            .filter_map(|conn| conn.pending.as_ref())
-            .map(|pending| pending.deadline)
+            .flat_map(|conn| {
+                let parked = conn.pending.as_ref().map(|pending| pending.deadline);
+                parked.into_iter().chain(conn.write_deadline)
+            })
             .chain(self.accept_resume)
             .min()
             .map(|deadline| deadline.saturating_duration_since(now))
@@ -886,7 +841,7 @@ impl LoopCtx {
 
     fn close_listener(&mut self) {
         if let Some(listener) = self.listener.take() {
-            let _ = self.handle.poller.delete(listener.as_raw_fd());
+            let _ = self.shared.poller.delete(listener.as_raw_fd());
         }
     }
 
@@ -895,7 +850,7 @@ impl LoopCtx {
     /// so a level-triggered poll would otherwise wake at once, forever.
     fn pause_accept(&mut self) {
         if let Some(listener) = &self.listener {
-            let _ = self.handle.poller.delete(listener.as_raw_fd());
+            let _ = self.shared.poller.delete(listener.as_raw_fd());
             self.accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
         }
     }
@@ -908,19 +863,12 @@ impl LoopCtx {
         };
         let fd = listener.as_raw_fd();
         if self
-            .handle
+            .shared
             .poller
             .add(fd, LISTENER_KEY, Interest::readable())
             .is_err()
         {
             self.accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
-        }
-    }
-
-    fn drain_inbox(&mut self) {
-        let incoming: Vec<TcpStream> = std::mem::take(&mut *self.handle.inbox.lock());
-        for stream in incoming {
-            self.register(stream);
         }
     }
 
@@ -933,16 +881,7 @@ impl LoopCtx {
                 listener.accept()
             };
             match accepted {
-                Ok((stream, _)) => {
-                    let target =
-                        self.shared.next_loop.fetch_add(1, Ordering::Relaxed) % self.loops.len();
-                    if target == self.index {
-                        self.register(stream);
-                    } else {
-                        self.loops[target].inbox.lock().push(stream);
-                        let _ = self.loops[target].poller.notify();
-                    }
-                }
+                Ok((stream, _)) => self.register(stream),
                 Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
                 // EMFILE or ENFILE (the same numbers on Linux, the BSDs and
@@ -959,16 +898,12 @@ impl LoopCtx {
     }
 
     fn register(&mut self, stream: TcpStream) {
-        if self.shared.closing.load(Ordering::SeqCst) {
-            return; // dropped: accepted moments before teardown
-        }
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        let Ok(peer) = stream.try_clone() else { return };
         let token = self.next_token;
         if self
-            .handle
+            .shared
             .poller
             .add(stream.as_raw_fd(), token, Interest::readable())
             .is_err()
@@ -976,35 +911,36 @@ impl LoopCtx {
             return;
         }
         self.next_token += 1;
-        let (reply_tx, reply_rx) = bounded::<Reply>(self.reply_depth);
-        self.conns.insert(
-            token,
-            Connection {
-                stream,
-                peer: Arc::new(peer),
-                decoder: FrameDecoder::new(),
-                reply_tx,
-                reply_rx,
-                out: VecDeque::new(),
-                out_pos: 0,
-                pending: None,
-                outstanding: Arc::new(AtomicU64::new(0)),
-                read_closed: false,
-                registered: Interest::readable(),
-                dead: false,
-            },
-        );
+        self.conns.insert(token, Connection::new(stream));
         self.shared.live_connections.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Queue a finished job's reply on its connection and drive the
+    /// connection. A reply for a connection already closed is dropped.
+    fn complete(&mut self, token: usize, reply: Option<Reply>) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.outstanding -= 1;
+        if let Some(reply) = reply {
+            enqueue_reply(conn, reply);
+        }
+        self.service(token);
     }
 
     /// Drive one connection's state machine as far as it will go without
     /// blocking, then re-register interest or clean it up.
     fn service(&mut self, token: usize) {
         let Some(mut conn) = self.conns.remove(&token) else {
-            return; // stale completion/event for an already-removed conn
+            return; // stale event for an already-removed conn
         };
         self.drive(token, &mut conn);
         if !conn.dead {
+            if conn.out.is_empty() {
+                conn.write_deadline = None;
+            } else if conn.write_deadline.is_none() {
+                conn.write_deadline = Some(Instant::now() + WRITE_IDLE_TIMEOUT);
+            }
             self.update_interest(token, &mut conn);
         }
         if conn.dead {
@@ -1015,7 +951,17 @@ impl LoopCtx {
     }
 
     fn drive(&mut self, token: usize, conn: &mut Connection) {
-        self.pump_and_flush(conn);
+        // No queued reply byte moved for WRITE_IDLE_TIMEOUT: the client
+        // has stopped reading. Checked before writing, because a full
+        // socket may still take a few bytes its peer's kernel found room
+        // for, which would re-arm the deadline of a client that reads
+        // nothing.
+        if conn.write_deadline.is_some_and(|at| Instant::now() >= at) {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            conn.dead = true;
+            return;
+        }
+        flush(conn);
         if conn.dead {
             return;
         }
@@ -1028,88 +974,37 @@ impl LoopCtx {
             return;
         }
         // Flush anything the read path produced (shed responses).
-        self.pump_and_flush(conn);
+        flush(conn);
         if conn.dead {
             return;
         }
-        self.try_close(conn);
-    }
-
-    /// Move replies from the worker-facing channel into the write queue and
-    /// push queued bytes to the socket until it would block. Replies are
-    /// pumped one at a time — only when the queue is empty — so the bounded
-    /// reply channel stays the backpressure point the stall timeout watches.
-    fn pump_and_flush(&mut self, conn: &mut Connection) {
-        loop {
-            if conn.out.is_empty() {
-                match conn.reply_rx.try_recv() {
-                    Ok(reply) => enqueue_reply(conn, reply),
-                    Err(_) => break, // empty: nothing more to write now
-                }
-            }
-            let Some(front) = conn.out.front() else { break };
-            let remaining = &front.bytes[conn.out_pos..];
-            if remaining.is_empty() {
-                let segment = conn.out.pop_front().expect("front checked above");
-                conn.out_pos = 0;
-                if segment.shutdown_after {
-                    // Deliberate mid-reply disconnect (chaos fault): both
-                    // directions down, connection removed, later replies
-                    // dropped at the disconnected channel.
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                    conn.dead = true;
-                    return;
-                }
-                continue;
-            }
-            match (&conn.stream).write(remaining) {
-                Ok(0) => {
-                    conn.dead = true;
-                    return;
-                }
-                Ok(written) => conn.out_pos += written,
-                Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    return;
-                }
-            }
-        }
+        try_close(conn);
     }
 
     /// Re-try a parked request: shed it past its deadline, admit it if the
     /// queue has space, then resume decoding any frames buffered behind it.
     fn retry_pending(&mut self, token: usize, conn: &mut Connection) {
-        let Some(pending) = &conn.pending else { return };
-        let request_id = pending.request_id;
-        let deadline = pending.deadline;
-        if Instant::now() >= deadline {
-            let pending = conn.pending.take().expect("pending checked above");
+        let Some(pending) = conn.pending.take() else {
+            return;
+        };
+        if Instant::now() >= pending.deadline {
             self.shared.parked.fetch_sub(1, Ordering::SeqCst);
-            drop(pending.job);
-            self.shed(conn, request_id);
+            self.shed(conn, pending.request_id);
             self.process_frames(token, conn);
             return;
         }
-        let pending = conn.pending.take().expect("pending checked above");
         match self.job_tx.try_send(pending.job) {
             Ok(()) => {
                 self.shared.parked.fetch_sub(1, Ordering::SeqCst);
                 self.process_frames(token, conn);
             }
             Err(TrySendError::Full(job)) => {
-                conn.pending = Some(PendingJob {
-                    job,
-                    request_id,
-                    deadline,
-                });
+                conn.pending = Some(PendingJob { job, ..pending });
             }
-            Err(TrySendError::Disconnected(job)) => {
+            Err(TrySendError::Disconnected(_)) => {
                 self.shared.parked.fetch_sub(1, Ordering::SeqCst);
                 self.state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                conn.outstanding.fetch_sub(1, Ordering::SeqCst);
-                drop(job);
+                conn.outstanding -= 1;
                 close_input(conn); // server shutting down
             }
         }
@@ -1120,37 +1015,23 @@ impl LoopCtx {
     /// queue (the shed never touched a worker).
     fn shed(&self, conn: &mut Connection, request_id: u64) {
         let depth = self.state.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-        conn.outstanding.fetch_sub(1, Ordering::SeqCst);
+        conn.outstanding -= 1;
         let shed = ScoreResponse::overloaded(request_id, depth as usize);
         conn.out.push_back(OutSegment::line(encode_line(&shed)));
     }
 
-    /// Read until the socket would block, a request parks, or the write
-    /// backlog says to stop; decode and admit frames as they complete.
+    /// Read until the socket would block, a request parks, or the
+    /// connection reaches its reply budget; decode and admit frames as they
+    /// complete.
     fn read_ready(&mut self, token: usize, conn: &mut Connection) {
-        if conn.read_closed || conn.pending.is_some() {
-            // Still drain frames already buffered (EOF tails included).
-            self.process_frames(token, conn);
-            return;
-        }
-        loop {
+        while !conn.read_closed && conn.pending.is_none() && conn.backlog() < REPLY_BUDGET {
             match (&conn.stream).read(&mut self.scratch) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    break;
-                }
+                Ok(0) => conn.read_closed = true,
                 Ok(count) => {
-                    let chunk = &self.scratch[..count];
-                    conn.decoder.push(chunk);
+                    conn.decoder.push(&self.scratch[..count]);
                     self.process_frames(token, conn);
-                    if conn.dead || conn.pending.is_some() || conn.read_closed {
-                        break;
-                    }
-                    // Backpressure: a client flooding faster than it reads
-                    // (e.g. shed storms) must not grow the write queue
-                    // without bound.
-                    if conn.out.len() >= self.reply_depth {
-                        break;
+                    if conn.dead {
+                        return;
                     }
                 }
                 Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -1161,14 +1042,17 @@ impl LoopCtx {
                 }
             }
         }
+        // Frames already buffered still drain (EOF tails included) once
+        // the budget or the queue lets them.
         self.process_frames(token, conn);
     }
 
     /// Decode buffered frames into jobs until the input runs dry, a request
-    /// parks on the full queue, or the connection closes.
+    /// parks on the full queue, the connection reaches its reply budget, or
+    /// the connection closes.
     fn process_frames(&mut self, token: usize, conn: &mut Connection) {
         loop {
-            if conn.dead || conn.pending.is_some() {
+            if conn.dead || conn.pending.is_some() || conn.backlog() >= REPLY_BUDGET {
                 return;
             }
             let frame = match conn.decoder.pop() {
@@ -1215,21 +1099,14 @@ impl LoopCtx {
             };
             let job = Job {
                 request,
-                reply: conn.reply_tx.clone(),
-                peer: Arc::clone(&conn.peer),
+                token,
                 admitted: Instant::now(),
-                completion: CompletionHandle {
-                    io_loop: Arc::clone(&self.handle),
-                    token,
-                    outstanding: Arc::clone(&conn.outstanding),
-                },
             };
             // Count the job before handing it over so the depth can never
             // read negative: increment → enqueue → (worker dequeues →
-            // decrement). Parked jobs stay counted while they wait, exactly
-            // as the blocking reader counted them across `send_timeout`.
+            // decrement). Parked jobs stay counted while they wait.
             self.state.queue_depth.fetch_add(1, Ordering::SeqCst);
-            conn.outstanding.fetch_add(1, Ordering::SeqCst);
+            conn.outstanding += 1;
             match self.job_tx.try_send(job) {
                 Ok(()) => {}
                 Err(TrySendError::Full(job)) => {
@@ -1247,7 +1124,7 @@ impl LoopCtx {
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     self.state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                    conn.outstanding.fetch_sub(1, Ordering::SeqCst);
+                    conn.outstanding -= 1;
                     close_input(conn); // server shutting down
                     return;
                 }
@@ -1255,40 +1132,14 @@ impl LoopCtx {
         }
     }
 
-    /// Close a fully drained connection: the client hung up, every admitted
-    /// job has been answered, and every reply byte is on the wire.
-    fn try_close(&mut self, conn: &mut Connection) {
-        let input_done =
-            conn.read_closed && conn.pending.is_none() && conn.decoder.buffered_len() == 0;
-        if !input_done {
-            return;
-        }
-        // Reading `outstanding == 0` *before* pumping means every reply this
-        // connection will ever get is already in the channel (workers push
-        // the reply before decrementing), so the pump below drains all of it.
-        if conn.outstanding.load(Ordering::SeqCst) != 0 {
-            return;
-        }
-        self.pump_and_flush(conn);
-        if conn.dead {
-            return;
-        }
-        if conn.out.is_empty() {
-            let _ = conn.stream.shutdown(Shutdown::Write);
-            conn.dead = true;
-        }
-    }
-
     fn update_interest(&self, token: usize, conn: &mut Connection) {
         let want = Interest {
-            readable: !conn.read_closed
-                && conn.pending.is_none()
-                && conn.out.len() < self.reply_depth,
+            readable: !conn.read_closed && conn.pending.is_none() && conn.backlog() < REPLY_BUDGET,
             writable: !conn.out.is_empty(),
         };
         if want != conn.registered {
             match self
-                .handle
+                .shared
                 .poller
                 .modify(conn.stream.as_raw_fd(), token, want)
             {
@@ -1299,16 +1150,14 @@ impl LoopCtx {
     }
 
     /// Remove a connection: deregister, roll back any parked request's
-    /// counters, and drop the state (closing the socket and disconnecting
-    /// the reply channel, so in-flight workers drop their replies). A
-    /// listener paused on fd exhaustion goes back into the poller.
+    /// counters, and drop the state, closing the socket; replies still in
+    /// flight for it are dropped when they arrive. A listener paused on fd
+    /// exhaustion goes back into the poller.
     fn finalize(&mut self, mut conn: Connection) {
-        let _ = self.handle.poller.delete(conn.stream.as_raw_fd());
-        if let Some(pending) = conn.pending.take() {
+        let _ = self.shared.poller.delete(conn.stream.as_raw_fd());
+        if conn.pending.take().is_some() {
             self.shared.parked.fetch_sub(1, Ordering::SeqCst);
             self.state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            conn.outstanding.fetch_sub(1, Ordering::SeqCst);
-            drop(pending.job);
         }
         self.shared.live_connections.fetch_sub(1, Ordering::SeqCst);
         self.resume_accept();
@@ -1322,6 +1171,57 @@ impl LoopCtx {
             let _ = conn.stream.shutdown(Shutdown::Both);
             self.finalize(conn);
         }
+    }
+}
+
+/// Push queued reply bytes to the socket until it would block. Every write
+/// that moves bytes clears the write-idle deadline.
+fn flush(conn: &mut Connection) {
+    while let Some(front) = conn.out.front() {
+        let remaining = &front.bytes[conn.out_pos..];
+        if remaining.is_empty() {
+            let segment = conn.out.pop_front().expect("front checked above");
+            conn.out_pos = 0;
+            if segment.shutdown_after {
+                // Deliberate mid-reply disconnect (chaos fault): both
+                // directions down, connection removed, later replies
+                // dropped with it.
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                conn.dead = true;
+                return;
+            }
+            continue;
+        }
+        match (&conn.stream).write(remaining) {
+            Ok(0) => {
+                conn.dead = true;
+                return;
+            }
+            Ok(written) => {
+                conn.out_pos += written;
+                conn.write_deadline = None;
+            }
+            Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => return,
+            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                conn.dead = true;
+                return;
+            }
+        }
+    }
+}
+
+/// Close a fully drained connection: the client hung up, every admitted
+/// job has been answered, and every reply byte is on the wire.
+fn try_close(conn: &mut Connection) {
+    let drained = conn.read_closed
+        && conn.pending.is_none()
+        && conn.decoder.buffered_len() == 0
+        && conn.outstanding == 0
+        && conn.out.is_empty();
+    if drained {
+        let _ = conn.stream.shutdown(Shutdown::Write);
+        conn.dead = true;
     }
 }
 
@@ -1656,19 +1556,36 @@ mod tests {
 
     #[test]
     fn execute_batches_beyond_the_cap_are_rejected_without_running() {
-        let state = ServiceState::new(&ServiceConfig {
-            max_execute_batch: 2,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let oversized = ScoreRequest::execute(9, "Wilkins", vec!["x".into(); 3]);
+        let state = ServiceState::new(&ServiceConfig::default()).unwrap();
+        let oversized =
+            ScoreRequest::execute(9, "Wilkins", vec!["x".into(); MAX_EXECUTE_HYPOTHESES + 1]);
         let response = state.handle(&oversized);
         assert!(!response.ok);
+        assert_eq!(response.id, 9);
+        assert_eq!(response.error_kind.as_deref(), Some("request-too-large"));
         assert!(response.error.unwrap().contains("cap"));
         assert_eq!(state.stats().requests, 0, "rejected batches are uncounted");
 
-        let at_cap = ScoreRequest::execute(10, "Wilkins", vec!["x".into(); 2]);
+        let at_cap = ScoreRequest::execute(10, "Wilkins", vec!["x".into(); MAX_EXECUTE_HYPOTHESES]);
         assert!(state.handle(&at_cap).ok);
+    }
+
+    #[test]
+    fn evaluate_batches_beyond_the_cap_are_rejected_without_counting() {
+        let state = ServiceState::new(&ServiceConfig::default()).unwrap();
+        let oversized = ScoreRequest::evaluate_text(
+            11,
+            "henson_yield();",
+            "Henson",
+            vec![String::new(); MAX_SCORE_HYPOTHESES + 1],
+        );
+        let response = state.handle(&oversized);
+        assert_eq!(response.id, 11);
+        assert_eq!(response.error_kind.as_deref(), Some("request-too-large"));
+        assert!(response.evaluations.is_empty());
+        let stats = state.stats();
+        assert_eq!((stats.requests, stats.hypotheses), (0, 0));
+        assert_eq!(stats.cache_misses, 0, "refused before the cache lookup");
     }
 
     #[test]
@@ -1680,41 +1597,19 @@ mod tests {
         assert_eq!(state.executor.cached_references(), 1);
     }
 
-    /// A connected-but-idle loopback socket for building test [`Job`]s.
-    fn loopback_peer() -> Arc<TcpStream> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let _accepted = listener.accept().unwrap();
-        Arc::new(stream)
-    }
-
-    fn test_completion() -> CompletionHandle {
-        CompletionHandle {
-            io_loop: Arc::new(IoLoopHandle::new().unwrap()),
-            token: 0,
-            outstanding: Arc::new(AtomicU64::new(1)),
-        }
-    }
-
-    fn test_job(request: ScoreRequest, reply: Sender<Reply>) -> Job {
+    fn test_job(request: ScoreRequest) -> Job {
         Job {
             request: Ok(request),
-            reply,
-            peer: loopback_peer(),
+            token: 0,
             admitted: Instant::now(),
-            completion: test_completion(),
         }
     }
 
     #[test]
     fn expired_deadlines_are_dropped_before_scoring() {
         let state = ServiceState::new(&ServiceConfig::default()).unwrap();
-        let (reply_tx, _reply_rx) = bounded::<Reply>(1);
         // deadline_ms = 0 is expired the instant a worker dequeues it.
-        let job = test_job(
-            ScoreRequest::by_text(9, "ref", vec!["x".into()]).with_deadline(0),
-            reply_tx,
-        );
+        let job = test_job(ScoreRequest::by_text(9, "ref", vec!["x".into()]).with_deadline(0));
         let response = respond_to_job(&state, &job, FaultAction::None);
         assert!(!response.ok);
         assert_eq!(response.error_kind.as_deref(), Some("deadline"));
@@ -1725,11 +1620,8 @@ mod tests {
     #[test]
     fn generous_deadlines_do_not_interfere_with_scoring() {
         let state = ServiceState::new(&ServiceConfig::default()).unwrap();
-        let (reply_tx, _reply_rx) = bounded::<Reply>(1);
-        let job = test_job(
-            ScoreRequest::by_text(3, "ref", vec!["ref".into()]).with_deadline(60_000),
-            reply_tx,
-        );
+        let job =
+            test_job(ScoreRequest::by_text(3, "ref", vec!["ref".into()]).with_deadline(60_000));
         let response = respond_to_job(&state, &job, FaultAction::None);
         assert!(response.ok, "{:?}", response.error);
         assert_eq!(response.scores.len(), 1);
@@ -1738,11 +1630,7 @@ mod tests {
     #[test]
     fn panicking_jobs_yield_typed_internal_errors_and_count_a_restart() {
         let state = ServiceState::new(&ServiceConfig::default()).unwrap();
-        let (reply_tx, _reply_rx) = bounded::<Reply>(2);
-        let job = test_job(
-            ScoreRequest::by_text(4, "ref", vec!["x".into()]),
-            reply_tx.clone(),
-        );
+        let job = test_job(ScoreRequest::by_text(4, "ref", vec!["x".into()]));
         let response = respond_to_job(&state, &job, FaultAction::WorkerPanic);
         assert!(!response.ok);
         assert_eq!(response.id, 4);
@@ -1751,10 +1639,7 @@ mod tests {
         assert_eq!(state.stats().worker_restarts, 1);
 
         // The pool state survives the unwind: the next job scores cleanly.
-        let next = test_job(
-            ScoreRequest::by_text(5, "ref", vec!["ref".into()]),
-            reply_tx,
-        );
+        let next = test_job(ScoreRequest::by_text(5, "ref", vec!["ref".into()]));
         let response = respond_to_job(&state, &next, FaultAction::None);
         assert!(response.ok, "{:?}", response.error);
     }
@@ -1797,42 +1682,10 @@ mod tests {
     }
 
     #[test]
-    fn io_thread_zero_is_clamped_to_one_loop() {
-        let config = ServiceConfig {
-            io_threads: 0,
-            ..ServiceConfig::default()
-        };
-        assert_eq!(config.effective_io_threads(), 1);
-        assert_eq!(
-            ServiceConfig {
-                io_threads: 4,
-                ..ServiceConfig::default()
-            }
-            .effective_io_threads(),
-            4
-        );
-    }
-
-    #[test]
     fn torn_replies_split_into_two_segments_with_identical_bytes() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let peer = Arc::new(stream.try_clone().unwrap());
-        let (reply_tx, reply_rx) = bounded::<Reply>(1);
-        let mut conn = Connection {
-            stream,
-            peer,
-            decoder: FrameDecoder::new(),
-            reply_tx,
-            reply_rx,
-            out: VecDeque::new(),
-            out_pos: 0,
-            pending: None,
-            outstanding: Arc::new(AtomicU64::new(0)),
-            read_closed: false,
-            registered: Interest::readable(),
-            dead: false,
-        };
+        let mut conn = Connection::new(stream);
         enqueue_reply(
             &mut conn,
             Reply {

@@ -1,9 +1,11 @@
 //! Out of file descriptors, `accept` fails while the listening socket stays
 //! readable. The server must then stop polling the listener instead of
-//! spinning on it, and accept again once descriptors free up.
+//! spinning on it, and accept again once descriptors free up. A client it
+//! does accept at the limit costs it one descriptor and is served.
 //!
-//! The test lowers its own process's `RLIMIT_NOFILE`, so it lives in a test
-//! binary of its own, with no other test running beside it.
+//! The tests lower their own process's `RLIMIT_NOFILE`, so they live in a
+//! test binary of their own and take turns, with no other test running
+//! beside them.
 
 // The `struct rlimit` and `struct rusage` layouts below are 64-bit Linux's.
 #![cfg(all(target_os = "linux", target_pointer_width = "64"))]
@@ -11,6 +13,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use wfspeak_service::protocol::{decode_line, encode_line};
@@ -42,6 +45,14 @@ extern "C" {
     fn getrlimit(resource: i32, limit: *mut RLimit) -> i32;
     fn setrlimit(resource: i32, limit: *const RLimit) -> i32;
     fn getrusage(who: i32, usage: *mut RUsage) -> i32;
+}
+
+/// Each test holds this while it runs: the descriptor limit is per process.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn fd_limit() -> RLimit {
@@ -98,6 +109,7 @@ fn read_reply(stream: &TcpStream) -> ScoreResponse {
 
 #[test]
 fn a_server_out_of_descriptors_idles_and_accepts_again_once_they_free_up() {
+    let _serial = serial();
     let server = ScoringServer::spawn(
         "127.0.0.1:0",
         ServiceConfig {
@@ -150,5 +162,37 @@ fn a_server_out_of_descriptors_idles_and_accepts_again_once_they_free_up() {
 
     set_fd_limit(saved.current, saved.max);
     drop((waiting, fresh));
+    server.shutdown();
+}
+
+#[test]
+fn the_client_accepted_at_the_descriptor_limit_is_served() {
+    let _serial = serial();
+    let server = ScoringServer::spawn(
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+
+    // Leave room for exactly two more descriptors: the client's socket and
+    // the one the server's `accept` returns for it.
+    let saved = fd_limit();
+    set_fd_limit(lowest_free_fd() + 2, saved.max);
+    let client = TcpStream::connect(server.addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    send_stats(&client, 1);
+    let mut line = String::new();
+    let read = BufReader::new(&client).read_line(&mut line);
+    set_fd_limit(saved.current, saved.max);
+
+    read.unwrap();
+    let reply: ScoreResponse = decode_line(&line).unwrap();
+    assert!(reply.ok && reply.stats.is_some(), "{reply:?}");
+    drop(client);
     server.shutdown();
 }

@@ -1,7 +1,8 @@
 //! Clients that send what a well-behaved client never would: one request
-//! whose only string is very long, and a line that never ends. Each is
-//! answered in bounded time and memory, and every connection, the
-//! offender's included, keeps being served.
+//! whose only string is very long, a line that never ends, and a request
+//! with more hypotheses than the server takes. Each is answered in bounded
+//! time and memory, and every connection, the offender's included, keeps
+//! being served.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
@@ -9,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use wfspeak_service::protocol::{decode_line, encode_line};
 use wfspeak_service::{
-    ScoreRequest, ScoreResponse, ScoringClient, ScoringServer, ServiceConfig, TaskKind,
-    MAX_FRAME_BYTES,
+    ResilientClient, RetryPolicy, ScoreRequest, ScoreResponse, ScoringClient, ScoringServer,
+    ServiceConfig, TaskKind, MAX_FRAME_BYTES, MAX_SCORE_HYPOTHESES,
 };
 
 fn read_response(reader: &mut BufReader<TcpStream>) -> ScoreResponse {
@@ -93,5 +94,51 @@ fn a_line_past_the_frame_limit_is_answered_and_skipped() {
     );
 
     stream.shutdown(Shutdown::Both).unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn a_request_past_the_hypothesis_cap_is_refused_and_the_connection_keeps_serving() {
+    let server = ScoringServer::spawn("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let mut client = ScoringClient::connect(server.addr()).unwrap();
+    let batch = |id, count| {
+        ScoreRequest::by_id(
+            id,
+            TaskKind::Configuration,
+            "Wilkins",
+            vec![String::new(); count],
+        )
+    };
+
+    client.send(&batch(41, MAX_SCORE_HYPOTHESES + 1)).unwrap();
+    let refused = client.recv().unwrap();
+    assert_eq!(refused.id, 41);
+    assert!(!refused.ok && refused.scores.is_empty());
+    assert_eq!(refused.error_kind.as_deref(), Some("request-too-large"));
+
+    client.send(&batch(42, MAX_SCORE_HYPOTHESES)).unwrap();
+    let scored = client.recv().unwrap();
+    assert_eq!(scored.id, 42);
+    assert!(scored.ok, "{:?}", scored.error);
+    assert_eq!(scored.scores.len(), MAX_SCORE_HYPOTHESES);
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.requests, 1, "the refused request is not counted");
+    assert_eq!(stats.hypotheses, MAX_SCORE_HYPOTHESES as u64);
+
+    // A resilient client takes the refusal as its answer: retrying it
+    // would end in `RetriesExhausted` instead.
+    let mut resilient = ResilientClient::new(
+        server.addr().to_string(),
+        RetryPolicy {
+            retries: 3,
+            ..RetryPolicy::default()
+        },
+    );
+    let answer = resilient
+        .score_text("tasks: []", vec![String::new(); MAX_SCORE_HYPOTHESES + 1])
+        .unwrap();
+    assert_eq!(answer.error_kind.as_deref(), Some("request-too-large"));
+
+    client.close();
     server.shutdown();
 }
