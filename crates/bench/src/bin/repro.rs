@@ -14,7 +14,6 @@
 use std::io::Read;
 
 use wfspeak_bench::chaos::{run_chaos_cli, ChaosOptions};
-use wfspeak_bench::{measure_grid_throughput, paper_benchmark};
 use wfspeak_core::report::{
     qualitative_configurations, qualitative_translations, render_samples, FullReport,
 };
@@ -63,23 +62,6 @@ Evaluation pipeline:
         --addr A       client mode: execute raw responses from stdin
                        against a running server instead of the local grid
                        (honours --system, --lines, --retries, --deadline-ms)
-
-Performance artifacts (rewrite tracked BENCH_N.json snapshots):
-    bench          grid throughput -> BENCH_1.json
-    bench-service  scoring-service throughput over loopback -> BENCH_2.json
-    bench-evaluate evaluation-pipeline throughput -> BENCH_3.json
-    bench-execute  dynamic-execution throughput -> BENCH_4.json
-    bench-scaling  engine scaling over synthetic topologies -> BENCH_5.json
-                   (honours WFSPEAK_SCALING_MAX as a task-count bound)
-    bench-connections
-                   high-connection scaling of the event-driven server over
-                   loopback, 4 -> 256 -> 1024 closed-loop clients
-                   -> BENCH_6.json (honours WFSPEAK_CONNECTIONS_MAX as a
-                   client-count bound)
-    bench-parse    wyaml parse throughput over the generated configuration
-                   corpus: pre-rewrite baseline vs the zero-copy rewrite,
-                   plus per-category failure counts -> BENCH_7.json
-                   (honours WFSPEAK_PARSE_PASSES as a pass-count bound)
 
 Scoring service:
     serve          run the batch scoring server (newline-delimited JSON/TCP)
@@ -200,47 +182,6 @@ fn figure1(benchmark: &Benchmark) {
             println!("{}", sensitivity.render_heatmap(kind, &row));
         }
     }
-}
-
-fn bench() {
-    let report = measure_grid_throughput();
-    println!(
-        "Grid throughput: {} cells ({} hypotheses, {} metric evaluations) in {:.2}s = {:.1} cells/s",
-        report.grid_cells,
-        report.scored_hypotheses,
-        report.metric_evaluations,
-        report.wall_time_secs,
-        report.cells_per_sec
-    );
-    let path = "BENCH_1.json";
-    match std::fs::write(path, report.to_json() + "\n") {
-        Ok(()) => println!("Wrote {path}\n"),
-        Err(e) => eprintln!("Could not write {path}: {e}\n"),
-    }
-}
-
-fn bench_service() {
-    wfspeak_bench::run_service_bench("BENCH_2.json");
-}
-
-fn bench_evaluate() {
-    wfspeak_bench::run_evaluation_bench("BENCH_3.json");
-}
-
-fn bench_execute() {
-    wfspeak_bench::run_execution_bench("BENCH_4.json");
-}
-
-fn bench_scaling() {
-    wfspeak_bench::run_runtime_scaling_bench("BENCH_5.json");
-}
-
-fn bench_connections() {
-    wfspeak_bench::run_connection_bench("BENCH_6.json");
-}
-
-fn bench_parse() {
-    wfspeak_bench::run_parse_bench("BENCH_7.json");
 }
 
 fn json(benchmark: &Benchmark) {
@@ -755,23 +696,8 @@ fn main() {
 
     // Artifact subcommands: validate everything before running anything, so
     // a typo late in the list doesn't waste a full benchmark run.
-    const ARTIFACTS: [&str; 16] = [
-        "run",
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "table5",
-        "table6",
-        "figure1",
-        "json",
-        "bench",
-        "bench-service",
-        "bench-evaluate",
-        "bench-execute",
-        "bench-scaling",
-        "bench-connections",
-        "bench-parse",
+    const ARTIFACTS: [&str; 9] = [
+        "run", "table1", "table2", "table3", "table4", "table5", "table6", "figure1", "json",
     ];
     let selections: Vec<&str> = if args.is_empty() {
         vec!["run"]
@@ -783,11 +709,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    // `bench` / `bench-service` are deliberately not part of the default
-    // run: they rewrite BENCH_N.json (tracked perf-trajectory snapshots)
-    // with run-dependent timings, so they only execute when explicitly
-    // requested.
-    let benchmark = paper_benchmark();
+    let benchmark = Benchmark::with_simulated_models(BenchmarkConfig::default());
     for selection in selections {
         match selection {
             "run" => {
@@ -807,13 +729,6 @@ fn main() {
             "table6" => table6(&benchmark),
             "figure1" => figure1(&benchmark),
             "json" => json(&benchmark),
-            "bench" => bench(),
-            "bench-service" => bench_service(),
-            "bench-evaluate" => bench_evaluate(),
-            "bench-execute" => bench_execute(),
-            "bench-scaling" => bench_scaling(),
-            "bench-connections" => bench_connections(),
-            "bench-parse" => bench_parse(),
             _ => unreachable!("validated above"),
         }
     }

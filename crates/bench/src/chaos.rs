@@ -37,7 +37,7 @@ use std::sync::Once;
 
 use wfspeak_service::protocol::encode_line;
 use wfspeak_service::{
-    FaultPlan, ResilientClient, RetryPolicy, ScoreRequest, ScoringServer, ServiceConfig,
+    FaultPlan, ResilientClient, RetryPolicy, ScoreRequest, ScoringServer, ServiceConfig, TaskKind,
 };
 
 /// Knobs for one chaos sweep. `Default` matches the CI smoke scale.
@@ -219,6 +219,27 @@ impl ChaosReport {
     }
 }
 
+/// The built-in references the workload cycles through: every task/system
+/// address the corpus can resolve (3 configuration, 4 annotation, 4
+/// translation targets), with the reference text alongside for
+/// client-side hypothesis generation.
+fn service_workload_addresses() -> Vec<(TaskKind, &'static str, &'static str)> {
+    use wfspeak_corpus::references::{annotation_reference, configuration_reference};
+    use wfspeak_corpus::WorkflowSystemId;
+    let mut addresses = Vec::new();
+    for system in WorkflowSystemId::configuration_systems() {
+        let reference = configuration_reference(system).expect("configuration reference");
+        addresses.push((TaskKind::Configuration, system.name(), reference));
+    }
+    for system in WorkflowSystemId::annotation_systems() {
+        let reference = annotation_reference(system).expect("annotation reference");
+        addresses.push((TaskKind::Annotation, system.name(), reference));
+        // Translation targets share the annotation references.
+        addresses.push((TaskKind::Translation, system.name(), reference));
+    }
+    addresses
+}
+
 /// Deterministic mixed workload for one seed: requests `1..=count` cycling
 /// score → evaluate → execute over the built-in references, with
 /// hypothesis batches stamped by (seed, index) so seeds exercise different
@@ -227,7 +248,7 @@ pub fn chaos_workload(seed: u64, count: usize) -> Vec<ScoreRequest> {
     use wfspeak_corpus::references::execution_reference;
     use wfspeak_corpus::WorkflowSystemId;
 
-    let score_addresses = super::service_workload_addresses();
+    let score_addresses = service_workload_addresses();
     let execute_systems = WorkflowSystemId::execution_systems();
     (0..count)
         .map(|i| {

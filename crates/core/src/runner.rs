@@ -376,14 +376,17 @@ impl Benchmark {
         kind.row_labels().len() * self.clients.len()
     }
 
-    /// The configuration-artifact corpus the parse benchmark measures:
-    /// every generated configuration response — code-extracted, exactly as
-    /// the execution pipeline sees it — for the three configuration systems
-    /// × all models × all trials × the first three prompt variants, in
-    /// deterministic variant/system/model/trial order.  With the paper
-    /// defaults that is 3 × 3 × 4 × 5 = 180 artifacts: mostly well-formed
-    /// Wilkins/ADIOS2 YAML, plus Henson scripts and degraded-tier output
-    /// that exercise the parser's failure categories.
+    /// The configuration-artifact corpus: every generated configuration
+    /// response — code-extracted, exactly as the execution pipeline sees
+    /// it — for the three configuration systems × all models × all trials
+    /// × the first three prompt variants, in deterministic
+    /// variant/system/model/trial order.  With the paper defaults that is
+    /// 3 × 3 × 4 × 5 = 180 artifacts: mostly well-formed Wilkins/ADIOS2
+    /// YAML, plus Henson scripts and degraded-tier output that exercise
+    /// the parser's failure categories.  The workspace test
+    /// `the_configuration_corpus_parses_to_its_golden_outcome`
+    /// (`tests/golden_execute.rs`) pins how `wyaml::parse` takes it: 140
+    /// accepted, 40 rejected with `bad-indentation`.
     pub fn configuration_corpus(&self) -> Vec<String> {
         let mut corpus = Vec::new();
         for variant in &PromptVariant::ALL[..3] {

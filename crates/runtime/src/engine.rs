@@ -365,9 +365,9 @@ mod tests {
 
     #[test]
     fn thousand_task_topologies_are_deterministic_across_runs() {
-        // The scaling benchmark's determinism checksums rest on this: a
-        // seeded 1000-task graph must complete and summarise identically
-        // run to run.
+        // The topology golden's trace checksums rest on this: a seeded
+        // 1000-task graph must complete and summarise identically run to
+        // run.
         use wfspeak_systems::topo::{TopoShape, TopoSpec};
         for shape in [TopoShape::Diamond, TopoShape::FanOut] {
             let spec = TopoSpec::new(shape, 1000, 42).generate();

@@ -16,7 +16,9 @@
 //!   not only when it textually matches the reference but when the workflow
 //!   it describes runs to completion and the consumers see the producer's
 //!   data;
-//! * the runtime-scaling benchmark in `wfspeak-bench`;
+//! * the topology golden in the workspace's `tests/topo_properties.rs`,
+//!   which runs every tier of `wfspeak_systems::topo::bench_suite` and pins
+//!   a checksum of each run's trace summary;
 //! * the `run_workflow` example.
 //!
 //! # Quickstart

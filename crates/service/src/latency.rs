@@ -1,7 +1,7 @@
 //! Lock-free request-latency tracking with fixed power-of-two buckets.
 //!
 //! Workers record one sample per answered request — the elapsed time from
-//! admission to the reply being handed to the connection's write path — by
+//! admission to the reply being handed to the I/O loop — by
 //! incrementing a single atomic bucket counter, so the hot path costs one
 //! `fetch_add` and no allocation. Percentiles are then read as the upper
 //! bound of the bucket where the requested rank falls, which is exact to

@@ -483,7 +483,7 @@ pub struct ServiceStats {
     /// so far; always 0 when fault injection is disabled (the default).
     pub faults_injected: u64,
     /// Request latencies recorded so far (one per answered request,
-    /// admission → reply handed to the connection's write path).
+    /// admission → reply handed to the I/O loop).
     pub latency_samples: u64,
     /// Median request latency in microseconds, reported as the upper bound
     /// of the power-of-two histogram bucket the median falls in (0 until

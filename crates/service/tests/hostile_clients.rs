@@ -2,10 +2,11 @@
 //! whose only string is very long, a line that never ends, and a request
 //! with more hypotheses than the server takes. Each is answered in bounded
 //! time and memory, and every connection, the offender's included, keeps
-//! being served.
+//! being served. Many clients at once are multiplexed by the one I/O loop.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use wfspeak_service::protocol::{decode_line, encode_line};
@@ -140,5 +141,60 @@ fn a_request_past_the_hypothesis_cap_is_refused_and_the_connection_keeps_serving
     assert_eq!(answer.error_kind.as_deref(), Some("request-too-large"));
 
     client.close();
+    server.shutdown();
+}
+
+#[test]
+fn sixty_four_closed_loop_clients_are_all_served_by_one_server() {
+    const CLIENTS: usize = 64;
+    const REQUESTS_PER_CLIENT: usize = 8;
+    const BATCH: usize = 4;
+
+    let server = ScoringServer::spawn("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = server.addr();
+    let reference = "tasks:\n  - func: producer\n    nprocs: 3\n";
+    // Every client connects before any of them sends.
+    let barrier = Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for client_index in 0..CLIENTS {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                let mut client = ScoringClient::connect(addr).unwrap();
+                barrier.wait();
+                for request_index in 0..REQUESTS_PER_CLIENT {
+                    let hypotheses = (0..BATCH)
+                        .map(|i| format!("step {i} of request {request_index} from {client_index}"))
+                        .collect();
+                    let id = client.fresh_id();
+                    client
+                        .send(&ScoreRequest::by_text(id, reference, hypotheses))
+                        .unwrap();
+                    let response = client.recv().unwrap();
+                    assert_eq!(response.id, id);
+                    assert!(response.ok, "{:?}", response.error);
+                    assert_eq!(response.scores.len(), BATCH);
+                }
+                client.close();
+            });
+        }
+    });
+
+    let requests = (CLIENTS * REQUESTS_PER_CLIENT) as u64;
+    let stats = server.stats();
+    assert_eq!(stats.requests, requests);
+    assert_eq!(stats.latency_samples, requests);
+    assert_eq!(stats.hypotheses, requests * BATCH as u64);
+    assert!(1 <= stats.latency_p50_us && stats.latency_p50_us <= stats.latency_p95_us);
+    assert!(stats.latency_p95_us <= stats.latency_p99_us);
+    // The loop reaps a closed socket on its next readiness pass.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.live_connections() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} connection(s) left open",
+            server.live_connections()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     server.shutdown();
 }

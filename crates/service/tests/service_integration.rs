@@ -2,7 +2,9 @@
 //! and the promise that served scores are bit-identical to calling
 //! `Scorer::score_prepared` directly.
 
-use wfspeak_corpus::references::{annotation_reference, configuration_reference};
+use wfspeak_corpus::references::{
+    annotation_reference, configuration_reference, translation_reference,
+};
 use wfspeak_corpus::WorkflowSystemId;
 use wfspeak_metrics::{BleuScorer, ChrfScorer, Scorer};
 use wfspeak_service::{ScoreRequest, ScoringClient, ScoringServer, ServiceConfig, TaskKind};
@@ -260,6 +262,7 @@ fn served_scores_match_direct_scoring_for_every_builtin_reference() {
         for (task, reference) in [
             (TaskKind::Configuration, configuration_reference(system)),
             (TaskKind::Annotation, annotation_reference(system)),
+            (TaskKind::Translation, translation_reference(system)),
         ] {
             let Some(reference) = reference else { continue };
             let hypotheses = hypotheses_for(reference);
@@ -273,7 +276,16 @@ fn served_scores_match_direct_scoring_for_every_builtin_reference() {
             covered += 1;
         }
     }
-    assert_eq!(covered, 7, "3 configuration + 4 annotation references");
+    assert_eq!(
+        covered, 11,
+        "3 configuration + 4 annotation + 4 translation references"
+    );
+    // The cache is keyed by reference text and translation targets share
+    // the annotation references: 7 texts are prepared, and each of the 4
+    // translation requests hits the entry its annotation request made.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.requests, 11);
+    assert_eq!((stats.cache_misses, stats.cache_hits), (7, 4));
 
     client.close();
     server.shutdown();

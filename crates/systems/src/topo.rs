@@ -7,8 +7,8 @@
 //! task count, plus deliberately-cyclic negatives for exercising the
 //! validator.  Generation is a pure function of [`TopoSpec`]: the same
 //! shape/size/seed always yields byte-identical specs, which is what lets
-//! the scaling benchmark publish determinism checksums and the property
-//! tests shrink failures.
+//! the workspace's topology golden pin trace checksums for [`bench_suite`]
+//! and the property tests shrink failures.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,7 +95,7 @@ pub struct TopoSpec {
     pub seed: u64,
 }
 
-/// Task counts the scaling benchmark sweeps.
+/// Task counts of the [`bench_suite`] tiers.
 pub const BENCH_SIZES: [usize; 3] = [10, 100, 1000];
 
 impl TopoSpec {
@@ -205,8 +205,10 @@ fn dataset_name(i: usize) -> String {
     format!("d{i:04}")
 }
 
-/// The generator specs the scaling benchmark sweeps: every acyclic shape at
-/// every [`BENCH_SIZES`] tier, all under one seed.
+/// Every acyclic shape at every [`BENCH_SIZES`] tier, all under one seed.
+/// The workspace's `tests/topo_properties.rs` runs each tier of
+/// `bench_suite(42)` on the engine and pins its counters and trace
+/// checksum.
 pub fn bench_suite(seed: u64) -> Vec<TopoSpec> {
     let mut suite = Vec::new();
     for &tasks in &BENCH_SIZES {

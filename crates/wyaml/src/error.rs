@@ -46,8 +46,8 @@ impl ErrorKind {
         ErrorKind::Other,
     ];
 
-    /// Stable kebab-case identifier: the failure-category label used by the
-    /// benches and mapped into the systems diagnostic vocabulary.
+    /// Stable kebab-case identifier: the parse-failure category label,
+    /// mapped into the systems diagnostic vocabulary.
     pub fn code(self) -> &'static str {
         match self {
             ErrorKind::BadIndentation => "bad-indentation",

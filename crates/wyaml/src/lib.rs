@@ -46,10 +46,6 @@
 //! consumers that do not care about lifetimes or spans keep a plain owned
 //! API.
 //!
-//! The pre-rewrite owned parser is preserved in [`baseline`] for
-//! differential testing and for measuring the zero-copy parser's speedup
-//! inside one benchmark artifact.
-//!
 //! # Example
 //!
 //! ```
@@ -83,7 +79,6 @@
 //! assert_eq!((err.line(), err.column()), (2, 1));
 //! ```
 
-pub mod baseline;
 pub mod borrowed;
 pub mod emit;
 pub mod error;
@@ -145,19 +140,5 @@ tasks:
         let dsets = outports[0].get("dsets").unwrap().as_seq().unwrap();
         assert_eq!(dsets[0].get("name").unwrap().as_str(), Some("/group1/grid"));
         assert_eq!(dsets[0].get("memory").unwrap().as_i64(), Some(1));
-    }
-
-    #[test]
-    fn baseline_and_zero_copy_agree_on_the_happy_path() {
-        let src = "\
-io:
-  name: SimulationOutput
-  engine:
-    type: SST
-variables:
-  - name: array
-    shape: [4, 50]
-";
-        assert_eq!(parse(src).unwrap(), baseline::parse(src).unwrap());
     }
 }

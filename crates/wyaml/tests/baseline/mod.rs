@@ -1,15 +1,12 @@
-//! The pre-rewrite owned-`String` parser, preserved verbatim.
+//! The pre-rewrite owned-`String` parser, preserved verbatim as a test
+//! oracle.
 //!
-//! This module exists for two reasons:
-//!
-//! * **Differential testing** — the round-trip proptests parse every
-//!   generated document with both parsers and require the zero-copy parser
-//!   ([`crate::parse()`]) to be a refinement of this one: whenever the new
-//!   parser accepts, the baseline must accept with the same value, and
-//!   whenever the baseline rejects, the new parser must reject too.
-//! * **Benchmarking** — `BENCH_7` measures corpus parse throughput of both
-//!   parsers on identical inputs, so the speedup claim is computed inside
-//!   one artifact instead of compared across commits.
+//! The differential properties in `spans_and_differential.rs` parse every
+//! generated document with both parsers and require the zero-copy parser
+//! (`wfspeak_wyaml::parse`) to be a refinement of this one: whenever the
+//! new parser accepts, the baseline must accept with the same value, and
+//! whenever the baseline rejects, the new parser must reject too.  It is
+//! built from the crate's public `Error`, `ErrorKind`, `Map` and `Value`.
 //!
 //! It deliberately retains the old parser's two known bugs (fixed in the
 //! zero-copy parser): tabs in indentation are reported as plain
@@ -18,8 +15,7 @@
 //! last-wins instead of rejected.  Do not fix them here; the differential
 //! properties are written to tolerate exactly these two divergences.
 
-use crate::error::{Error, ErrorKind};
-use crate::value::{Map, Value};
+use wfspeak_wyaml::{Error, ErrorKind, Map, Value};
 
 /// Parse a YAML-subset document with the pre-rewrite owned parser.
 ///

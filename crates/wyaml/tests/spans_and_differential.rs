@@ -1,7 +1,7 @@
 //! Property tests for the zero-copy rewrite:
 //!
 //! * **Differential refinement** — the zero-copy parser is pinned against
-//!   the preserved pre-rewrite parser ([`wfspeak_wyaml::baseline`]): when
+//!   the preserved pre-rewrite parser (the `baseline` test module): when
 //!   the new parser accepts, the baseline accepts with the identical value,
 //!   and when the baseline rejects, the new parser rejects too.  The two
 //!   intentional fixes (tabs → `TabIndent`, flow duplicate keys rejected)
@@ -14,10 +14,12 @@
 //!   outright, with the tab's exact column).
 //! * **Slice identity** — borrowed scalars point into the original buffer.
 
+mod baseline;
+
 use std::borrow::Cow;
 
 use proptest::prelude::*;
-use wfspeak_wyaml::{baseline, emit, parse, parse_document, ErrorKind, Map, Node, Value, ValueRef};
+use wfspeak_wyaml::{emit, parse, parse_document, ErrorKind, Map, Node, Value, ValueRef};
 
 /// Strategy for scalars with printable ASCII plus tabs and newlines — the
 /// payloads the block emitter has to quote and escape.
@@ -89,6 +91,20 @@ fn tab_twin(source: &str) -> String {
         out.push_str(&line[indent..]);
     }
     out
+}
+
+#[test]
+fn baseline_and_zero_copy_agree_on_the_happy_path() {
+    let src = "\
+io:
+  name: SimulationOutput
+  engine:
+    type: SST
+variables:
+  - name: array
+    shape: [4, 50]
+";
+    assert_eq!(parse(src).unwrap(), baseline::parse(src).unwrap());
 }
 
 proptest! {

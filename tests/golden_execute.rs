@@ -1,5 +1,6 @@
 //! Golden-snapshot pin for the `repro execute --trials 1` summary and
-//! diagnostic breakdown.
+//! diagnostic breakdown, plus a golden over the configuration corpus that
+//! execution's first stage parses.
 //!
 //! The snapshot guards the dynamic-execution chain: simulated model
 //! outputs, code extraction, parse → validate → normalize → run on the
@@ -12,7 +13,10 @@
 //!     > tests/golden/execute_trials1.txt
 //! ```
 
+use std::collections::BTreeMap;
+
 use wfspeak::core::{Benchmark, BenchmarkConfig, PromptVariant};
+use wfspeak::wyaml::parse;
 
 #[test]
 fn execute_trials1_summary_matches_the_golden_snapshot() {
@@ -92,4 +96,25 @@ fn execute_snapshot_has_the_expected_shape() {
         .map(|row| golden.find(&format!("\n{row} ")).expect("row present"))
         .collect();
     assert!(rows.windows(2).all(|w| w[0] < w[1]));
+}
+
+#[test]
+fn the_configuration_corpus_parses_to_its_golden_outcome() {
+    // Parsing is the first stage of execution: over the paper-default
+    // corpus (3 configuration systems × 4 models × 5 trials × 3 prompt
+    // variants), wyaml accepts 140 artifacts and rejects the other 40,
+    // every one with `bad-indentation`.
+    let corpus =
+        Benchmark::with_simulated_models(BenchmarkConfig::default()).configuration_corpus();
+    assert_eq!(corpus.len(), 180);
+    let mut parsed = 0;
+    let mut failures: BTreeMap<&str, usize> = BTreeMap::new();
+    for artifact in &corpus {
+        match parse(artifact) {
+            Ok(_) => parsed += 1,
+            Err(e) => *failures.entry(e.kind.code()).or_default() += 1,
+        }
+    }
+    assert_eq!(parsed, 140);
+    assert_eq!(failures, BTreeMap::from([("bad-indentation", 40)]));
 }

@@ -2,12 +2,14 @@
 //! (`wfspeak_systems::topo`): every acyclic generator spec yields a
 //! structurally clean, deterministically regenerable workflow; the cyclic
 //! negatives always trip the validator's cycle detector; and normalization
-//! stays idempotent all the way up to the 1000-task benchmark tier.
+//! stays idempotent all the way up to the 1000-task tier. A golden pins
+//! what the engine makes of every tier of the suite.
 //!
 //! Case count defaults to the vendored proptest's 256 and scales with
 //! `PROPTEST_CASES` (CI's `fuzz-smoke` job runs 512).
 
 use proptest::prelude::*;
+use wfspeak_runtime::{Engine, EngineConfig, TraceSummary};
 use wfspeak_systems::topo::{bench_suite, TopoShape, TopoSpec, BENCH_SIZES};
 use wfspeak_systems::DiagnosticKind;
 
@@ -79,14 +81,79 @@ proptest! {
     }
 }
 
+/// FNV-1a over a byte slice, seeded with `hash` (chainable).
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+/// Fold a [`TraceSummary`] into a stable u64: every map is ordered
+/// (`BTreeMap`), so the fold is a pure function of the counts.
+fn summary_checksum(summary: &TraceSummary) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (label, count) in &summary.events {
+        hash = fnv1a(hash, label.as_bytes());
+        hash = fnv1a(hash, &(*count as u64).to_le_bytes());
+    }
+    for map in [&summary.published, &summary.received] {
+        for (dataset, count) in map {
+            hash = fnv1a(hash, dataset.as_bytes());
+            hash = fnv1a(hash, &(*count as u64).to_le_bytes());
+        }
+    }
+    for map in [
+        &summary.tasks_started,
+        &summary.tasks_finished,
+        &summary.tasks_failed,
+    ] {
+        for (task, count) in map {
+            hash = fnv1a(hash, task.as_bytes());
+            hash = fnv1a(hash, &(*count as u64).to_le_bytes());
+        }
+    }
+    hash
+}
+
+/// What the engine makes of each tier of `bench_suite(42)`, in suite
+/// order: `(shape, tasks, edges, published, received, checksum)`, where
+/// `checksum` is [`summary_checksum`] of the run's trace summary.
+const SUITE_GOLDEN: [(&str, usize, usize, usize, usize, u64); 12] = [
+    ("fan-out", 10, 9, 27, 27, 0xa47ab88fad406781),
+    ("chain", 10, 9, 27, 27, 0xa47ab88fad406781),
+    ("diamond", 10, 16, 27, 48, 0xad624c856a9b9afd),
+    ("random", 10, 20, 27, 60, 0x96fe63a4adadde7c),
+    ("fan-out", 100, 99, 297, 297, 0x88675cc3a856519b),
+    ("chain", 100, 99, 297, 297, 0x88675cc3a856519b),
+    ("diamond", 100, 196, 297, 588, 0xefca182b4bb90a5f),
+    ("random", 100, 207, 297, 621, 0x16f6dd28c82b18be),
+    ("fan-out", 1000, 999, 2997, 2997, 0x93f8c7298787ce05),
+    ("chain", 1000, 999, 2997, 2997, 0x93f8c7298787ce05),
+    ("diamond", 1000, 1996, 2997, 5988, 0x77b8c77c02cb07da),
+    ("random", 1000, 2030, 2997, 6090, 0xcc5eac95526db911),
+];
+
+/// The FNV-1a fold of every tier checksum of [`SUITE_GOLDEN`], in order.
+const SUITE_GOLDEN_CHECKSUM: u64 = 0xbe83760bbfc2669d;
+
 #[test]
 fn the_full_bench_suite_is_clean_up_to_a_thousand_tasks() {
-    // The exact tiers the scaling benchmark sweeps — including the
-    // 1000-task tier the proptest strategies keep small — validate clean
-    // and normalize idempotently.
+    // Every tier of the suite, including the 1000-task tier the proptest
+    // strategies keep small, validates clean, normalizes idempotently and
+    // runs to completion on the engine with exactly the pinned counters
+    // and trace checksum.
+    let engine = Engine::new(EngineConfig {
+        elements: 16,
+        seed: 42,
+        ..EngineConfig::default()
+    });
     let suite = bench_suite(42);
     assert_eq!(suite.len(), BENCH_SIZES.len() * TopoShape::ACYCLIC.len());
-    for topo in suite {
+    assert_eq!(suite.len(), SUITE_GOLDEN.len());
+    let mut aggregate = 0xcbf2_9ce4_8422_2325u64;
+    for (topo, golden) in suite.into_iter().zip(SUITE_GOLDEN) {
         let spec = topo.generate();
         assert!(spec.is_structurally_valid(), "{}", topo.name());
         let normalized = spec.normalized();
@@ -97,7 +164,32 @@ fn the_full_bench_suite_is_clean_up_to_a_thousand_tasks() {
             topo.name()
         );
         assert_eq!(normalized.tasks.len(), topo.tasks, "{}", topo.name());
+
+        let outcome = engine
+            .run(&normalized)
+            .unwrap_or_else(|e| panic!("{}: engine run failed: {e}", topo.name()));
+        assert!(outcome.completed, "{}: run did not complete", topo.name());
+        let summary = outcome.summary();
+        let checksum = summary_checksum(&summary);
+        assert_eq!(
+            (
+                topo.shape.label(),
+                normalized.tasks.len(),
+                normalized.edges().len(),
+                summary.total_published(),
+                summary.total_received(),
+                checksum,
+            ),
+            golden,
+            "{}",
+            topo.name()
+        );
+        aggregate = fnv1a(aggregate, &checksum.to_le_bytes());
     }
+    assert_eq!(
+        aggregate, SUITE_GOLDEN_CHECKSUM,
+        "aggregate {aggregate:#018x}"
+    );
 }
 
 #[test]
