@@ -223,7 +223,7 @@ impl ChaosReport {
 /// address the corpus can resolve (3 configuration, 4 annotation, 4
 /// translation targets), with the reference text alongside for
 /// client-side hypothesis generation.
-fn service_workload_addresses() -> Vec<(TaskKind, &'static str, &'static str)> {
+pub(crate) fn service_workload_addresses() -> Vec<(TaskKind, &'static str, &'static str)> {
     use wfspeak_corpus::references::{annotation_reference, configuration_reference};
     use wfspeak_corpus::WorkflowSystemId;
     let mut addresses = Vec::new();
@@ -289,7 +289,7 @@ pub fn chaos_workload(seed: u64, count: usize) -> Vec<ScoreRequest> {
 
 /// Deterministic hypothesis batch: the reference, a truncation, and an
 /// unrelated line stamped with (seed, index).
-fn chaos_hypotheses(reference: &str, seed: u64, index: usize) -> Vec<String> {
+pub(crate) fn chaos_hypotheses(reference: &str, seed: u64, index: usize) -> Vec<String> {
     vec![
         reference.to_owned(),
         reference.chars().take(reference.len() / 2).collect(),

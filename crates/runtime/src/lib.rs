@@ -41,3 +41,46 @@ pub mod trace;
 pub use data::{DataMessage, Dataset};
 pub use engine::{Engine, EngineConfig, EngineError, RunOutcome};
 pub use trace::{Event, EventKind, ExecutionTrace, TraceSummary};
+
+#[cfg(test)]
+mod tests {
+    use wfspeak_systems::topo::bench_suite;
+
+    use crate::{Engine, EngineConfig};
+
+    #[test]
+    fn runtime_scaling_report_is_deterministic_at_the_smoke_tier() {
+        // The topology suite's tiers up to 100 tasks (2 sizes × 4 acyclic
+        // shapes) on the engine the topology golden uses: a second run of
+        // each normalized spec on the same engine summarises bit-identically.
+        // The golden pins each tier's counters and checksum.
+        let engine = Engine::new(EngineConfig {
+            elements: 16,
+            seed: 42,
+            ..EngineConfig::default()
+        });
+        let smoke: Vec<_> = bench_suite(42)
+            .into_iter()
+            .filter(|topo| topo.tasks <= 100)
+            .collect();
+        assert_eq!(smoke.len(), 8);
+        for topo in smoke {
+            let spec = topo.generate().normalized();
+            let outcome = engine.run(&spec).unwrap();
+            assert!(outcome.completed, "{}: run did not complete", topo.name());
+            let summary = outcome.summary();
+            assert!(
+                summary.total_published() > 0 && summary.total_received() > 0,
+                "{}",
+                topo.name()
+            );
+            let rerun = engine.run(&spec).unwrap().summary();
+            assert_eq!(summary, rerun, "{}", topo.name());
+            assert!(
+                (summary.fidelity(&rerun) - 1.0).abs() < 1e-12,
+                "{}",
+                topo.name()
+            );
+        }
+    }
+}
