@@ -346,14 +346,6 @@ impl ExecutionPipeline {
         ExecutionPipeline::default()
     }
 
-    /// A pipeline with an explicit sandbox.
-    pub fn with_sandbox(sandbox: SandboxConfig) -> ExecutionPipeline {
-        ExecutionPipeline {
-            sandbox,
-            ..ExecutionPipeline::default()
-        }
-    }
-
     /// Never retain more than `max_entries` reference runs: beyond the cap,
     /// unseen references are still resolved and scored but not cached.
     /// Servers accepting arbitrary client-supplied `reference_text` use
@@ -742,12 +734,6 @@ impl Benchmark {
                 })
                 .collect(),
         }
-    }
-
-    /// The benchmark's shared execution pipeline (sandbox + reference-run
-    /// cache).
-    pub fn execution_pipeline(&self) -> &ExecutionPipeline {
-        &self.executions
     }
 }
 

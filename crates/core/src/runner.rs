@@ -385,8 +385,8 @@ impl Benchmark {
     /// YAML, plus Henson scripts and degraded-tier output that exercise
     /// the parser's failure categories.  The workspace test
     /// `the_configuration_corpus_parses_to_its_golden_outcome`
-    /// (`tests/golden_execute.rs`) pins how `wyaml::parse` takes it: 140
-    /// accepted, 40 rejected with `bad-indentation`.
+    /// (`tests/golden_execute.rs`) pins how `wyaml::parse_document` takes
+    /// it: 140 accepted, 40 rejected with `bad-indentation`.
     pub fn configuration_corpus(&self) -> Vec<String> {
         let mut corpus = Vec::new();
         for variant in &PromptVariant::ALL[..3] {

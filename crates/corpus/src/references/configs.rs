@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn wilkins_configs_parse_as_yaml() {
         for (name, src) in [("3node", WILKINS_3NODE), ("2node", WILKINS_2NODE)] {
-            let doc = wfspeak_wyaml::parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let doc = wfspeak_wyaml::parse_document(src).unwrap_or_else(|e| panic!("{name}: {e}"));
             let tasks = doc.get("tasks").unwrap().as_seq().unwrap();
             assert!(!tasks.is_empty());
         }
@@ -154,16 +154,16 @@ mod tests {
 
     #[test]
     fn wilkins_3node_has_three_tasks_and_2node_has_two() {
-        let doc3 = wfspeak_wyaml::parse(WILKINS_3NODE).unwrap();
+        let doc3 = wfspeak_wyaml::parse_document(WILKINS_3NODE).unwrap();
         assert_eq!(doc3.get("tasks").unwrap().as_seq().unwrap().len(), 3);
-        let doc2 = wfspeak_wyaml::parse(WILKINS_2NODE).unwrap();
+        let doc2 = wfspeak_wyaml::parse_document(WILKINS_2NODE).unwrap();
         assert_eq!(doc2.get("tasks").unwrap().as_seq().unwrap().len(), 2);
     }
 
     #[test]
     fn adios2_configs_parse_as_yaml_io_list() {
         for src in [ADIOS2_3NODE, ADIOS2_2NODE] {
-            let doc = wfspeak_wyaml::parse(src).unwrap();
+            let doc = wfspeak_wyaml::parse_document(src).unwrap();
             let ios = doc.as_seq().unwrap();
             assert!(ios.len() >= 2);
             for io in ios {
@@ -175,10 +175,10 @@ mod tests {
 
     #[test]
     fn adios2_3node_uses_sst_engine() {
-        let doc = wfspeak_wyaml::parse(ADIOS2_3NODE).unwrap();
+        let doc = wfspeak_wyaml::parse_document(ADIOS2_3NODE).unwrap();
         let first = &doc.as_seq().unwrap()[0];
         assert_eq!(
-            first.lookup_path("Engine/Type").unwrap().as_str(),
+            first.get("Engine").unwrap().get("Type").unwrap().as_str(),
             Some("SST")
         );
     }

@@ -77,12 +77,6 @@ pub fn chrf_chars(text: &str) -> Vec<char> {
     text.chars().filter(|c| !c.is_whitespace()).collect()
 }
 
-/// Split text into word tokens for the ChrF word-order component (unused by
-/// plain ChrF but provided for ChrF++-style extensions).
-pub fn chrf_words(text: &str) -> Vec<String> {
-    tokenize_whitespace(text)
-}
-
 /// Normalise line endings and trim trailing whitespace per line.  Applied to
 /// both hypothesis and reference before scoring so that platform differences
 /// and trailing-space noise do not affect the metrics.

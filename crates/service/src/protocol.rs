@@ -428,8 +428,9 @@ impl ExecutionScore {
     }
 }
 
-/// The wire form of one typed diagnostic: flat strings and optional source
-/// coordinates, mirroring [`wfspeak_systems::Diagnostic::wire_json`].
+/// The wire form of one typed [`wfspeak_systems::Diagnostic`]: its kind's
+/// wire code and severity label as strings, plus the optional path and
+/// source coordinates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireDiagnostic {
     /// Stable kebab-case kind code (e.g. `dangling-consume`).

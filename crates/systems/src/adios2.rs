@@ -6,7 +6,7 @@
 
 use wfspeak_codemodel::lexer::Language;
 use wfspeak_corpus::WorkflowSystemId;
-use wfspeak_wyaml::{parse as yaml_parse, Value};
+use wfspeak_wyaml::{parse_document, EntryRef, Node};
 
 use crate::annotate::validate_task_code;
 use crate::api::{catalog_for, ApiCatalog};
@@ -51,7 +51,7 @@ impl Adios2Config {
     pub fn parse(source: &str) -> (Option<Adios2Config>, ValidationReport) {
         let mut report = ValidationReport::valid();
         let catalog = catalog_for(WorkflowSystemId::Adios2);
-        let doc = match yaml_parse(source) {
+        let doc = match parse_document(source) {
             Ok(d) => d,
             Err(e) => {
                 report.push(
@@ -94,12 +94,18 @@ impl Adios2Config {
                 engine: String::new(),
                 variables: Vec::new(),
             };
-            for (key, value) in map.iter() {
-                match key.as_str() {
+            for EntryRef {
+                key, node: value, ..
+            } in map.iter()
+            {
+                match key.as_ref() {
                     "IO" => io.name = value.as_str().unwrap_or_default().to_owned(),
                     "Engine" => {
                         if let Some(engine_map) = value.as_map() {
-                            for (ek, ev) in engine_map.iter() {
+                            for EntryRef {
+                                key: ek, node: ev, ..
+                            } in engine_map.iter()
+                            {
                                 if ek == "Type" {
                                     io.engine = ev.as_str().unwrap_or_default().to_owned();
                                 } else if !catalog.is_real_config_field(ek) {
@@ -116,7 +122,7 @@ impl Adios2Config {
                             for v in vars {
                                 if let Some(name) = v
                                     .get("Variable")
-                                    .and_then(Value::as_str)
+                                    .and_then(Node::as_str)
                                     .or_else(|| v.as_str())
                                 {
                                     io.variables.push(name.to_owned());

@@ -2,9 +2,10 @@
 //!
 //! A [`Diagnostic`] is a typed finding: a machine-readable [`DiagnosticKind`],
 //! a [`Severity`], an optional path into the artifact (task or field), an
-//! optional source position, and a human-readable message.  The wire form
-//! ([`Diagnostic::wire_json`]) is what the scoring service serializes so
-//! clients can tell *why* an artifact failed without parsing prose.
+//! optional source position, and a human-readable message.  The scoring
+//! service sends each one as a `WireDiagnostic` (the kind's wire code, the
+//! severity label and the same optional fields) so clients can tell *why*
+//! an artifact failed without parsing prose.
 
 use std::fmt;
 
@@ -329,50 +330,6 @@ impl Diagnostic {
     pub fn is_error(&self) -> bool {
         self.severity == Severity::Error
     }
-
-    /// Machine-serializable wire form: a single JSON object with `kind`,
-    /// `severity`, `message` and — when known — `path`, `line`, `column`.
-    pub fn wire_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.message.len());
-        out.push_str("{\"kind\":\"");
-        out.push_str(self.kind.code());
-        out.push_str("\",\"severity\":\"");
-        out.push_str(self.severity.label());
-        out.push('"');
-        if let Some(path) = &self.path {
-            out.push_str(",\"path\":\"");
-            escape_json_into(&mut out, path);
-            out.push('"');
-        }
-        if let Some(line) = self.line {
-            out.push_str(",\"line\":");
-            out.push_str(&line.to_string());
-        }
-        if let Some(column) = self.column {
-            out.push_str(",\"column\":");
-            out.push_str(&column.to_string());
-        }
-        out.push_str(",\"message\":\"");
-        escape_json_into(&mut out, &self.message);
-        out.push_str("\"}");
-        out
-    }
-}
-
-fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -412,11 +369,6 @@ impl ValidationReport {
     /// An empty (fully valid) report.
     pub fn valid() -> Self {
         ValidationReport::default()
-    }
-
-    /// A report over a pre-built list of findings.
-    pub fn from_diagnostics(diagnostics: Vec<Diagnostic>) -> Self {
-        ValidationReport { diagnostics }
     }
 
     /// Add a finding.
@@ -616,31 +568,5 @@ mod tests {
             DiagnosticKind::from_yaml_error(Y::Other),
             DiagnosticKind::ParseError
         );
-    }
-
-    #[test]
-    fn wire_json_shape() {
-        let d = Diagnostic::error(DiagnosticKind::DanglingConsume, "no producer for `grid`")
-            .at_path("consumer1");
-        assert_eq!(
-            d.wire_json(),
-            "{\"kind\":\"dangling-consume\",\"severity\":\"error\",\
-             \"path\":\"consumer1\",\"message\":\"no producer for `grid`\"}"
-        );
-        let with_pos = Diagnostic::warning(DiagnosticKind::Schema, "x").at_position(4, Some(2));
-        assert_eq!(
-            with_pos.wire_json(),
-            "{\"kind\":\"schema\",\"severity\":\"warning\",\"line\":4,\"column\":2,\
-             \"message\":\"x\"}"
-        );
-    }
-
-    #[test]
-    fn wire_json_escapes_special_characters() {
-        let d = Diagnostic::error(DiagnosticKind::ParseError, "quote \" slash \\ newline \n");
-        let json = d.wire_json();
-        assert!(json.contains("quote \\\" slash \\\\ newline \\n"));
-        // The wire form must be a single line (newline-delimited protocol).
-        assert!(!json.contains('\n'));
     }
 }

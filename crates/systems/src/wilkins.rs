@@ -7,7 +7,7 @@
 //! experiment.
 
 use wfspeak_corpus::WorkflowSystemId;
-use wfspeak_wyaml::{parse as yaml_parse, Value};
+use wfspeak_wyaml::{parse_document, EntryRef, Node, ValueRef};
 
 use crate::api::{catalog_for, ApiCatalog};
 use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
@@ -62,7 +62,7 @@ impl WilkinsConfig {
     /// valid part of a partially wrong configuration can still be inspected.
     pub fn parse(source: &str) -> (Option<WilkinsConfig>, ValidationReport) {
         let mut report = ValidationReport::valid();
-        let doc = match yaml_parse(source) {
+        let doc = match parse_document(source) {
             Ok(doc) => doc,
             Err(e) => {
                 report.push(
@@ -90,7 +90,7 @@ impl WilkinsConfig {
                 return (None, report);
             }
         };
-        for (key, _) in root.iter() {
+        for EntryRef { key, .. } in root.iter() {
             if key != "tasks" {
                 let kind = if catalog.is_real_config_field(key) {
                     DiagnosticKind::MisplacedField
@@ -237,17 +237,17 @@ impl WilkinsConfig {
     }
 }
 
-fn parse_bool_flag(value: &Value) -> Option<bool> {
-    match value {
-        Value::Int(0) => Some(false),
-        Value::Int(1) => Some(true),
-        Value::Bool(b) => Some(*b),
+fn parse_bool_flag(node: &Node<'_>) -> Option<bool> {
+    match node.value {
+        ValueRef::Int(0) => Some(false),
+        ValueRef::Int(1) => Some(true),
+        ValueRef::Bool(b) => Some(b),
         _ => None,
     }
 }
 
 fn parse_task(
-    entry: &Value,
+    entry: &Node<'_>,
     idx: usize,
     catalog: &ApiCatalog,
     report: &mut ValidationReport,
@@ -266,8 +266,11 @@ fn parse_task(
     let mut nprocs = 1usize;
     let mut inports = Vec::new();
     let mut outports = Vec::new();
-    for (key, value) in map.iter() {
-        match key.as_str() {
+    for EntryRef {
+        key, node: value, ..
+    } in map.iter()
+    {
+        match key.as_ref() {
             "func" => func = value.as_str().map(str::to_owned),
             "nprocs" => match value.as_i64() {
                 Some(n) if n > 0 => nprocs = n as usize,
@@ -307,7 +310,7 @@ fn parse_task(
 }
 
 fn parse_ports(
-    value: &Value,
+    value: &Node<'_>,
     task_idx: usize,
     label: &str,
     catalog: &ApiCatalog,
@@ -337,8 +340,8 @@ fn parse_ports(
         };
         let mut filename = String::new();
         let mut dsets = Vec::new();
-        for (key, v) in map.iter() {
-            match key.as_str() {
+        for EntryRef { key, node: v, .. } in map.iter() {
+            match key.as_ref() {
                 "filename" => filename = v.as_str().unwrap_or_default().to_owned(),
                 "dsets" => {
                     if let Some(list) = v.as_seq() {
@@ -349,8 +352,11 @@ fn parse_ports(
                                     file: false,
                                     memory: true,
                                 };
-                                for (dk, dv) in dm.iter() {
-                                    match dk.as_str() {
+                                for EntryRef {
+                                    key: dk, node: dv, ..
+                                } in dm.iter()
+                                {
+                                    match dk.as_ref() {
                                         "name" => {
                                             dset.name = dv.as_str().unwrap_or_default().to_owned()
                                         }

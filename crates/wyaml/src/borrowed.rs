@@ -5,19 +5,13 @@
 //! quoted scalars without escapes are [`Cow::Borrowed`] slices of the input
 //! buffer (zero copies, zero allocations for the string data); only scalars
 //! that required unescaping (`"a\"b"`, `"line\nbreak"`) own their text.
-//! Every node also records the [`Span`] it was parsed from, and every
-//! mapping key is interned (see [`Interner`]) so duplicate detection and
-//! repeated-key accounting are symbol comparisons.
-//!
-//! [`Node::to_owned_value`] converts into the owned [`Value`] model, which
-//! is what the rest of the workspace consumes — the owned API is a thin
-//! layer over this one.
+//! Every node also records the [`Span`] it was parsed from.  This is the
+//! only document model: the Wilkins and ADIOS2 schema readers walk it in
+//! place.
 
 use std::borrow::Cow;
 
-use crate::intern::{Interner, Symbol};
 use crate::span::Span;
-use crate::value::{Map, Value};
 
 /// A parsed value plus the source region it came from.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,31 +28,18 @@ impl<'a> Node<'a> {
         Node { value, span }
     }
 
-    /// Convert into the owned [`Value`] model (drops spans).
-    pub fn to_owned_value(&self) -> Value {
-        match &self.value {
-            ValueRef::Null => Value::Null,
-            ValueRef::Bool(b) => Value::Bool(*b),
-            ValueRef::Int(i) => Value::Int(*i),
-            ValueRef::Float(f) => Value::Float(*f),
-            ValueRef::Str(s) => Value::Str(s.clone().into_owned()),
-            ValueRef::Seq(items) => Value::Seq(items.iter().map(Node::to_owned_value).collect()),
-            ValueRef::Map(map) => {
-                // The parser rejected duplicate keys, so the entries can be
-                // collected without re-scanning for collisions.
-                Value::Map(Map::from_unique_entries(
-                    map.iter()
-                        .map(|e| (e.key.as_ref().to_owned(), e.node.to_owned_value()))
-                        .collect(),
-                ))
-            }
-        }
-    }
-
     /// Borrowed-string view (only for [`ValueRef::Str`]).
     pub fn as_str(&self) -> Option<&str> {
         match &self.value {
             ValueRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Integer view (only for [`ValueRef::Int`]).
+    pub fn as_i64(&self) -> Option<i64> {
+        match self.value {
+            ValueRef::Int(i) => Some(i),
             _ => None,
         }
     }
@@ -82,6 +63,20 @@ impl<'a> Node<'a> {
     /// Shorthand for map lookup; `None` for non-map nodes.
     pub fn get(&self, key: &str) -> Option<&Node<'a>> {
         self.as_map().and_then(|m| m.get(key))
+    }
+
+    /// Descriptive name of the value's type (used in error messages):
+    /// `null`, `bool`, `int`, `float`, `string`, `sequence` or `mapping`.
+    pub fn type_name(&self) -> &'static str {
+        match self.value {
+            ValueRef::Null => "null",
+            ValueRef::Bool(_) => "bool",
+            ValueRef::Int(_) => "int",
+            ValueRef::Float(_) => "float",
+            ValueRef::Str(_) => "string",
+            ValueRef::Seq(_) => "sequence",
+            ValueRef::Map(_) => "mapping",
+        }
     }
 
     /// All spans in the subtree, pre-order (node before children, map keys
@@ -132,8 +127,8 @@ pub enum ValueRef<'a> {
 
 impl<'a> ValueRef<'a> {
     /// Interpret a plain (unquoted) scalar, resolving null, booleans and
-    /// numbers exactly like [`Value::from_plain_scalar`] — but keeping
-    /// string payloads borrowed.
+    /// numbers the way the YAML 1.1 core schema does for the common cases,
+    /// and keeping string payloads borrowed.
     pub fn from_plain(s: &'a str) -> ValueRef<'a> {
         let t = s.trim();
         match t {
@@ -170,8 +165,6 @@ impl<'a> ValueRef<'a> {
 pub struct EntryRef<'a> {
     /// The key text (borrowed unless unescaping forced a copy).
     pub key: Cow<'a, str>,
-    /// The key's interned symbol in the document's [`Interner`].
-    pub key_sym: Symbol,
     /// Where the key sits in the source.
     pub key_span: Span,
     /// The entry's value.
@@ -208,19 +201,14 @@ impl<'a> MapRef<'a> {
         self.entries.is_empty()
     }
 
-    /// True when a key with this interned symbol is already present — the
-    /// duplicate check is a `u32` comparison, not a string comparison.
-    pub fn contains_symbol(&self, sym: Symbol) -> bool {
-        self.entries.iter().any(|e| e.key_sym == sym)
-    }
-
     /// Append an entry.  The parser rejects duplicates before calling this,
     /// so no replace-in-place logic is needed here.
     pub fn push(&mut self, entry: EntryRef<'a>) {
         self.entries.push(entry);
     }
 
-    /// Look up a key by text.
+    /// Look up a key by text.  The parser's duplicate-key check is this
+    /// scan, which the per-mapping key limit keeps short.
     pub fn get(&self, key: &str) -> Option<&Node<'a>> {
         self.entries.iter().find(|e| e.key == key).map(|e| &e.node)
     }
@@ -231,49 +219,35 @@ impl<'a> MapRef<'a> {
     }
 }
 
-/// A whole parsed document: the root node plus the key interner it was
-/// parsed with.
-#[derive(Debug)]
-pub struct Document<'a> {
-    root: Node<'a>,
-    interner: Interner<'a>,
-}
-
-impl<'a> Document<'a> {
-    pub(crate) fn new(root: Node<'a>, interner: Interner<'a>) -> Document<'a> {
-        Document { root, interner }
-    }
-
-    /// The document's root node.
-    pub fn root(&self) -> &Node<'a> {
-        &self.root
-    }
-
-    /// The key interner: one symbol per *distinct* mapping key in the
-    /// document, however many times it repeats.
-    pub fn interner(&self) -> &Interner<'a> {
-        &self.interner
-    }
-
-    /// Convert into the owned [`Value`] model.
-    pub fn into_owned(self) -> Value {
-        self.root.to_owned_value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn entry<'a>(key: &'a str, value: ValueRef<'a>) -> EntryRef<'a> {
+        EntryRef {
+            key: Cow::Borrowed(key),
+            key_span: Span::point(1, 1),
+            node: Node::new(value, Span::point(1, 4)),
+        }
+    }
+
     #[test]
-    fn plain_resolution_matches_owned_model() {
-        for raw in ["null", "~", "", "true", "False", "42", "-7", "3.5", "x.h5"] {
-            let borrowed = Node::new(ValueRef::from_plain(raw), Span::point(1, 1));
-            assert_eq!(
-                borrowed.to_owned_value(),
-                Value::from_plain_scalar(raw),
-                "{raw:?}"
-            );
+    fn plain_scalar_resolution() {
+        let cases = [
+            ("null", ValueRef::Null),
+            ("~", ValueRef::Null),
+            ("", ValueRef::Null),
+            ("true", ValueRef::Bool(true)),
+            ("False", ValueRef::Bool(false)),
+            ("42", ValueRef::Int(42)),
+            ("-7", ValueRef::Int(-7)),
+            ("3.5", ValueRef::Float(3.5)),
+            ("outfile.h5", ValueRef::Str(Cow::Borrowed("outfile.h5"))),
+            ("/group1/grid", ValueRef::Str(Cow::Borrowed("/group1/grid"))),
+            ("1.0.0", ValueRef::Str(Cow::Borrowed("1.0.0"))),
+        ];
+        for (raw, expected) in cases {
+            assert_eq!(ValueRef::from_plain(raw), expected, "{raw:?}");
         }
     }
 
@@ -287,34 +261,57 @@ mod tests {
     }
 
     #[test]
-    fn map_lookup_and_duplicate_symbol_check() {
-        let mut interner = Interner::new();
-        let sym = interner.intern(Cow::Borrowed("a"));
+    fn accessors_return_expected_views() {
+        let node = |value| Node::new(value, Span::point(1, 1));
+        assert_eq!(node(ValueRef::Int(3)).as_i64(), Some(3));
+        assert_eq!(node(ValueRef::Str(Cow::Borrowed("x"))).as_str(), Some("x"));
+        assert!(node(ValueRef::Str(Cow::Borrowed("3"))).as_i64().is_none());
+        assert!(node(ValueRef::Float(3.0)).as_i64().is_none());
+        assert!(node(ValueRef::Int(1)).as_str().is_none());
+        assert_eq!(node(ValueRef::Seq(vec![])).as_seq(), Some(&[][..]));
+        assert!(node(ValueRef::Null).as_map().is_none());
+        assert!(node(ValueRef::Null).get("k").is_none());
+    }
+
+    #[test]
+    fn type_names() {
+        let names: Vec<&str> = [
+            ValueRef::Null,
+            ValueRef::Bool(true),
+            ValueRef::Int(1),
+            ValueRef::Float(1.5),
+            ValueRef::Str(Cow::Borrowed("s")),
+            ValueRef::Seq(vec![]),
+            ValueRef::Map(MapRef::new()),
+        ]
+        .into_iter()
+        .map(|value| Node::new(value, Span::point(1, 1)).type_name())
+        .collect();
+        assert_eq!(
+            names,
+            ["null", "bool", "int", "float", "string", "sequence", "mapping"]
+        );
+    }
+
+    #[test]
+    fn map_lookup_finds_keys_by_text() {
         let mut m = MapRef::new();
-        assert!(!m.contains_symbol(sym));
+        assert!(m.get("a").is_none());
+        m.push(entry("a", ValueRef::Int(1)));
         m.push(EntryRef {
-            key: Cow::Borrowed("a"),
-            key_sym: sym,
-            key_span: Span::point(1, 1),
-            node: Node::new(ValueRef::Int(1), Span::point(1, 4)),
+            key: Cow::Owned("b\"c".to_owned()),
+            ..entry("", ValueRef::Int(2))
         });
-        assert!(m.contains_symbol(sym));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get("a").unwrap().to_owned_value(), Value::Int(1));
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.get("a").and_then(Node::as_i64), Some(1));
+        assert_eq!(m.get("b\"c").and_then(Node::as_i64), Some(2));
         assert!(m.get("b").is_none());
     }
 
     #[test]
     fn spans_collect_in_document_order() {
-        let mut interner = Interner::new();
-        let sym = interner.intern(Cow::Borrowed("k"));
         let mut m = MapRef::new();
-        m.push(EntryRef {
-            key: Cow::Borrowed("k"),
-            key_sym: sym,
-            key_span: Span::point(1, 1),
-            node: Node::new(ValueRef::Int(1), Span::point(1, 4)),
-        });
+        m.push(entry("k", ValueRef::Int(1)));
         let root = Node::new(ValueRef::Map(m), Span::point(1, 1));
         let spans = root.spans();
         assert_eq!(spans.len(), 3);

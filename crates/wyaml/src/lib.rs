@@ -1,5 +1,5 @@
-//! `wfspeak-wyaml` — a minimal, from-scratch YAML-subset parser and emitter
-//! built around a zero-copy, span-carrying document model.
+//! `wfspeak-wyaml` — a minimal, from-scratch YAML-subset parser built
+//! around a zero-copy, span-carrying document model.
 //!
 //! Workflow systems such as Wilkins and ADIOS2 describe workflow graphs in
 //! small, regular YAML documents (block mappings, block sequences, scalars,
@@ -14,17 +14,22 @@
 //!   constructs,
 //! * plain, single-quoted and double-quoted scalars,
 //! * integers, floats, booleans and null,
-//! * `#` comments and blank lines,
-//! * a deterministic emitter that round-trips parsed documents.
+//! * `#` comments and blank lines.
 //!
 //! Out of scope (and rejected with an error where detectable): anchors,
 //! aliases, tags, multi-document streams, block scalars (`|`, `>`), tabs in
 //! block indentation ([`ErrorKind::TabIndent`]).
 //!
-//! # The borrowed document model
+//! Two limits bound the work any input can cause, and are refused with
+//! [`ErrorKind::Unsupported`]: collections nested deeper than 128 levels,
+//! refused at the opening character of the first collection too deep, and
+//! mappings with more than 256 keys, refused at the first key past the
+//! limit.
 //!
-//! [`parse_document`] is the primary entry point.  It returns a
-//! [`Document`]`<'a>` that **borrows from the input `&'a str`**:
+//! # The document model
+//!
+//! [`parse_document`] returns the root [`Node`]`<'a>` of a tree that
+//! **borrows from the input `&'a str`**:
 //!
 //! * Plain scalars, single-quoted scalars, and double-quoted scalars
 //!   without escape sequences are `Cow::Borrowed` slices of the original
@@ -33,80 +38,48 @@
 //! * `Cow::Owned` appears in exactly one case: a double-quoted scalar (or
 //!   key) whose body contains a backslash, where unescaping must build a
 //!   new string (`"line\nbreak"` → `line<newline>break`).
-//! * Every mapping key is interned into a per-document [`Interner`]: equal
-//!   key text yields the same [`Symbol`], so duplicate-key detection is a
-//!   `u32` comparison and callers can count distinct keys without walking
-//!   the tree.
 //! * Every node and mapping key carries a [`Span`] (`line`, `column`,
 //!   `len`; 1-based line and byte column), and every [`Error`] points at an
 //!   exact `line:column` of a real input character.
 //!
-//! The owned [`Value`]/[`Map`] model is a thin layer on top:
-//! [`parse()`] is `parse_document(src).map(Document::into_owned)`, so
-//! consumers that do not care about lifetimes or spans keep a plain owned
-//! API.
-//!
 //! # Example
 //!
 //! ```
-//! use wfspeak_wyaml::{parse, parse_document, Value};
+//! use wfspeak_wyaml::parse_document;
 //!
 //! let src = "tasks:\n  - func: producer\n    nprocs: 3\n";
-//!
-//! // Owned API — what most of the workspace uses.
-//! let doc = parse(src).unwrap();
-//! let tasks = doc.get("tasks").unwrap().as_seq().unwrap();
-//! assert_eq!(tasks[0].get("func").unwrap().as_str(), Some("producer"));
-//! assert_eq!(tasks[0].get("nprocs").unwrap().as_i64(), Some(3));
-//!
-//! // Borrowed API — zero-copy scalars plus spans.
-//! let doc = parse_document(src).unwrap();
-//! let func = doc.root().get("tasks").unwrap().as_seq().unwrap()[0]
-//!     .get("func")
-//!     .unwrap();
+//! let root = parse_document(src).unwrap();
+//! let task = &root.get("tasks").unwrap().as_seq().unwrap()[0];
+//! let func = task.get("func").unwrap();
 //! assert_eq!(func.as_str(), Some("producer"));
 //! assert_eq!((func.span.line, func.span.column), (2, 11));
-//! assert_eq!(doc.interner().len(), 3); // tasks, func, nprocs
+//! assert_eq!(task.get("nprocs").unwrap().as_i64(), Some(3));
+//! assert_eq!(task.type_name(), "mapping");
 //! ```
 //!
 //! Errors carry exact positions:
 //!
 //! ```
-//! use wfspeak_wyaml::{parse, ErrorKind};
+//! use wfspeak_wyaml::{parse_document, ErrorKind};
 //!
-//! let err = parse("a:\n\tb: 1\n").unwrap_err();
+//! let err = parse_document("a:\n\tb: 1\n").unwrap_err();
 //! assert_eq!(err.kind, ErrorKind::TabIndent);
 //! assert_eq!((err.line(), err.column()), (2, 1));
 //! ```
 
 pub mod borrowed;
-pub mod emit;
 pub mod error;
-pub mod intern;
 pub mod parse;
 pub mod span;
-pub mod value;
 
-pub use borrowed::{Document, EntryRef, MapRef, Node, ValueRef};
-pub use emit::{emit, emit_value};
+pub use borrowed::{EntryRef, MapRef, Node, ValueRef};
 pub use error::{Error, ErrorKind};
-pub use intern::{Interner, Symbol};
-pub use parse::{parse, parse_document};
+pub use parse::parse_document;
 pub use span::Span;
-pub use value::{Map, Value};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trip_simple_document() {
-        let src = "name: workflow\ncount: 3\nenabled: true\n";
-        let doc = parse(src).unwrap();
-        let emitted = emit(&doc);
-        let reparsed = parse(&emitted).unwrap();
-        assert_eq!(doc, reparsed);
-    }
 
     #[test]
     fn wilkins_style_document_parses() {
@@ -129,7 +102,7 @@ tasks:
             file: 0
             memory: 1
 ";
-        let doc = parse(src).unwrap();
+        let doc = parse_document(src).unwrap();
         let tasks = doc.get("tasks").unwrap().as_seq().unwrap();
         assert_eq!(tasks.len(), 2);
         let outports = tasks[0].get("outports").unwrap().as_seq().unwrap();

@@ -1,11 +1,8 @@
 //! The zero-copy, span-carrying parser for the supported YAML subset.
 //!
-//! [`parse_document`] is the primary entry point: it borrows the input
-//! `&str` and produces a [`Document`] of [`Node`]s whose scalars are
-//! `Cow::Borrowed` slices of the original buffer wherever the text needs no
-//! unescaping, and whose mapping keys are interned into a per-document
-//! [`crate::Interner`].  [`parse()`] is the owned convenience wrapper the
-//! rest of the workspace uses: `parse_document(..).into_owned()`.
+//! [`parse_document`] borrows the input `&str` and produces a tree of
+//! [`Node`]s whose scalars are `Cow::Borrowed` slices of the original
+//! buffer wherever the text needs no unescaping.
 //!
 //! The parser is line-oriented: `preprocess` slices the source into
 //! `(indent, content, line-number)` triples (no per-line allocation — each
@@ -14,42 +11,42 @@
 //! inline text to the scalar/flow sub-parsers.  Every node records the
 //! [`Span`] it started at, and every [`Error`] carries an exact 1-based
 //! `line:column` pointing at a real character of the input.
+//!
+//! Two limits keep hostile input bounded: a collection nested deeper than
+//! `MAX_DEPTH` (128) levels and a mapping with more than `MAX_MAPPING_KEYS`
+//! (256) keys are refused with [`ErrorKind::Unsupported`], so recursion
+//! depth and the duplicate-key scan stay bounded whatever the input.
 
 use std::borrow::Cow;
 
-use crate::borrowed::{Document, EntryRef, MapRef, Node, ValueRef};
+use crate::borrowed::{EntryRef, MapRef, Node, ValueRef};
 use crate::error::{Error, ErrorKind};
-use crate::intern::Interner;
 use crate::span::Span;
-use crate::value::Value;
 
-/// Parse a YAML-subset document into an owned [`Value`].
-///
-/// An empty document (only comments/blank lines) parses to [`Value::Null`].
-/// This is a thin layer over [`parse_document`] + [`Document::into_owned`].
-pub fn parse(source: &str) -> Result<Value, Error> {
-    parse_document(source).map(Document::into_owned)
-}
+/// The deepest nesting of collections (block or flow, mappings or
+/// sequences) the parser accepts; a collection one level deeper is refused
+/// at its opening character.  The parser recurses once per level, so this
+/// bounds its stack use.
+const MAX_DEPTH: usize = 128;
 
-/// Parse a YAML-subset document into the borrowed, span-carrying model.
+/// The most keys one mapping may hold; the next key is refused at its
+/// position.  Duplicate detection scans the mapping being built, so this
+/// bounds each key's check.
+const MAX_MAPPING_KEYS: usize = 256;
+
+/// Parse a YAML-subset document into its root [`Node`].
 ///
-/// The returned [`Document`] borrows from `source`: plain scalars and
-/// quoted scalars without escape sequences are slices of the input buffer.
-pub fn parse_document(source: &str) -> Result<Document<'_>, Error> {
+/// The tree borrows from `source`: plain scalars and quoted scalars without
+/// escape sequences are slices of the input buffer.  An empty document
+/// (only comments/blank lines) parses to a null root.
+pub fn parse_document(source: &str) -> Result<Node<'_>, Error> {
     let lines = preprocess(source)?;
     if lines.is_empty() {
-        return Ok(Document::new(
-            Node::new(ValueRef::Null, Span::new(1, 1, 0)),
-            Interner::new(),
-        ));
+        return Ok(Node::new(ValueRef::Null, Span::new(1, 1, 0)));
     }
-    let mut parser = Parser {
-        lines,
-        pos: 0,
-        interner: Interner::new(),
-    };
+    let mut parser = Parser { lines, pos: 0 };
     let root_indent = parser.lines[0].indent;
-    let root = parser.parse_node(root_indent)?;
+    let root = parser.parse_node(root_indent, 0)?;
     if parser.pos < parser.lines.len() {
         let line = parser.lines[parser.pos];
         return Err(Error::at(
@@ -59,7 +56,25 @@ pub fn parse_document(source: &str) -> Result<Document<'_>, Error> {
             format!("unexpected content `{}` after document root", line.text),
         ));
     }
-    Ok(Document::new(root, parser.interner))
+    Ok(root)
+}
+
+fn too_deep(line: usize, column: usize) -> Error {
+    Error::at(
+        ErrorKind::Unsupported,
+        line,
+        column,
+        format!("collections nested deeper than {MAX_DEPTH} levels are not supported"),
+    )
+}
+
+fn too_many_keys(line: usize, column: usize) -> Error {
+    Error::at(
+        ErrorKind::Unsupported,
+        line,
+        column,
+        format!("mappings with more than {MAX_MAPPING_KEYS} keys are not supported"),
+    )
 }
 
 /// One significant source line: its indent width, its content (indent and
@@ -149,7 +164,6 @@ fn strip_comment(line: &str) -> &str {
 struct Parser<'a> {
     lines: Vec<Line<'a>>,
     pos: usize,
-    interner: Interner<'a>,
 }
 
 impl<'a> Parser<'a> {
@@ -157,9 +171,21 @@ impl<'a> Parser<'a> {
         self.lines.get(self.pos).copied()
     }
 
+    /// The span of the block collection starting at the current line, or
+    /// the depth error when `depth` collections already enclose it.
+    fn open_collection(&self, indent: usize, depth: usize) -> Result<Span, Error> {
+        let Some(l) = self.current() else {
+            return Ok(Span::new(1, indent + 1, 0));
+        };
+        if depth >= MAX_DEPTH {
+            return Err(too_deep(l.number, l.indent + 1));
+        }
+        Ok(Span::new(l.number, l.indent + 1, l.text.len()))
+    }
+
     /// Parse the node starting at the current line, which must sit at
-    /// exactly `indent`.
-    fn parse_node(&mut self, indent: usize) -> Result<Node<'a>, Error> {
+    /// exactly `indent`; `depth` collections enclose it.
+    fn parse_node(&mut self, indent: usize, depth: usize) -> Result<Node<'a>, Error> {
         let line = match self.current() {
             Some(l) => l,
             None => return Ok(Node::new(ValueRef::Null, Span::new(1, 1, 0))),
@@ -167,21 +193,18 @@ impl<'a> Parser<'a> {
         if line.text.starts_with('-')
             && (line.text == "-" || line.text.starts_with("- ") || line.text == "---")
         {
-            self.parse_sequence(indent)
+            self.parse_sequence(indent, depth)
         } else if find_mapping_colon(line.text).is_some() {
-            self.parse_mapping(indent)
+            self.parse_mapping(indent, depth)
         } else {
             // Single scalar document / nested scalar.
             self.pos += 1;
-            parse_scalar(line.text, line.number, line.indent + 1, &mut self.interner)
+            parse_scalar(line.text, line.number, line.indent + 1, depth)
         }
     }
 
-    fn parse_mapping(&mut self, indent: usize) -> Result<Node<'a>, Error> {
-        let span = match self.current() {
-            Some(l) => Span::new(l.number, l.indent + 1, l.text.len()),
-            None => Span::new(1, indent + 1, 0),
-        };
+    fn parse_mapping(&mut self, indent: usize, depth: usize) -> Result<Node<'a>, Error> {
+        let span = self.open_collection(indent, depth)?;
         let mut map = MapRef::with_default_capacity();
         while let Some(line) = self.current() {
             if line.indent < indent {
@@ -218,8 +241,10 @@ impl<'a> Parser<'a> {
                 ));
             }
             let key = unquote_key(raw_key);
-            let key_sym = self.interner.intern(key.clone());
-            if map.contains_symbol(key_sym) {
+            if map.len() == MAX_MAPPING_KEYS {
+                return Err(too_many_keys(line.number, line.indent + 1));
+            }
+            if map.get(&key).is_some() {
                 return Err(Error::at(
                     ErrorKind::DuplicateKey,
                     line.number,
@@ -239,7 +264,7 @@ impl<'a> Parser<'a> {
                 match self.current() {
                     Some(next) if next.indent > indent => {
                         let child_indent = next.indent;
-                        self.parse_node(child_indent)?
+                        self.parse_node(child_indent, depth + 1)?
                     }
                     // A sequence nested under a key may sit at the same
                     // indent as the key (common YAML style).
@@ -247,16 +272,15 @@ impl<'a> Parser<'a> {
                         if next.indent == indent
                             && (next.text.starts_with("- ") || next.text == "-") =>
                     {
-                        self.parse_sequence(indent)?
+                        self.parse_sequence(indent, depth + 1)?
                     }
                     _ => Node::new(ValueRef::Null, Span::new(line.number, value_col, 0)),
                 }
             } else {
-                parse_scalar(rest, line.number, value_col, &mut self.interner)?
+                parse_scalar(rest, line.number, value_col, depth + 1)?
             };
             map.push(EntryRef {
                 key,
-                key_sym,
                 key_span,
                 node,
             });
@@ -264,11 +288,8 @@ impl<'a> Parser<'a> {
         Ok(Node::new(ValueRef::Map(map), span))
     }
 
-    fn parse_sequence(&mut self, indent: usize) -> Result<Node<'a>, Error> {
-        let span = match self.current() {
-            Some(l) => Span::new(l.number, l.indent + 1, l.text.len()),
-            None => Span::new(1, indent + 1, 0),
-        };
+    fn parse_sequence(&mut self, indent: usize, depth: usize) -> Result<Node<'a>, Error> {
+        let span = self.open_collection(indent, depth)?;
         let mut items = Vec::with_capacity(4);
         while let Some(line) = self.current() {
             if line.indent != indent || !(line.text.starts_with("- ") || line.text == "-") {
@@ -295,7 +316,7 @@ impl<'a> Parser<'a> {
                 let node = match self.current() {
                     Some(next) if next.indent > indent => {
                         let child_indent = next.indent;
-                        self.parse_node(child_indent)?
+                        self.parse_node(child_indent, depth + 1)?
                     }
                     _ => Node::new(ValueRef::Null, Span::new(line.number, indent + 2, 0)),
                 };
@@ -311,7 +332,7 @@ impl<'a> Parser<'a> {
                     text: content,
                     number: line.number,
                 };
-                let node = self.parse_node(content_indent)?;
+                let node = self.parse_node(content_indent, depth + 1)?;
                 items.push(node);
             }
         }
@@ -391,17 +412,13 @@ fn unquote_key(key: &str) -> Cow<'_, str> {
 }
 
 /// Parse an inline scalar or flow collection.  `col` is the 1-based byte
-/// column of `text`'s first character in the source line.
-fn parse_scalar<'a>(
-    text: &'a str,
-    line: usize,
-    col: usize,
-    interner: &mut Interner<'a>,
-) -> Result<Node<'a>, Error> {
+/// column of `text`'s first character in the source line; `depth`
+/// collections enclose it.
+fn parse_scalar(text: &str, line: usize, col: usize, depth: usize) -> Result<Node<'_>, Error> {
     let t = text.trim();
     let col = col + (text.len() - text.trim_start().len());
     if t.starts_with('[') || t.starts_with('{') {
-        let (node, rest) = parse_flow(t, line, col, interner)?;
+        let (node, rest) = parse_flow(t, line, col, depth)?;
         if !rest.trim().is_empty() {
             return Err(Error::at(
                 ErrorKind::Other,
@@ -488,15 +505,14 @@ fn unescape_double(inner: &str) -> String {
 /// Parse a flow collection starting at the beginning of `t`, returning the
 /// node and the remaining unparsed text.  `col` is the 1-based column of
 /// `t`'s first character; error columns are derived from how much of `t`
-/// was consumed when the problem surfaced.
-fn parse_flow<'a>(
-    t: &'a str,
-    line: usize,
-    col: usize,
-    interner: &mut Interner<'a>,
-) -> Result<(Node<'a>, &'a str), Error> {
+/// was consumed when the problem surfaced.  `depth` collections enclose
+/// this one.
+fn parse_flow(t: &str, line: usize, col: usize, depth: usize) -> Result<(Node<'_>, &str), Error> {
     let col = col + (t.len() - t.trim_start().len());
     let t = t.trim_start();
+    if depth >= MAX_DEPTH {
+        return Err(too_deep(line, col));
+    }
     // Column of a suffix of `t` still waiting to be parsed.
     let col_of = |rest: &str| col + (t.len() - rest.len());
     if let Some(first) = t.strip_prefix('[') {
@@ -515,7 +531,7 @@ fn parse_flow<'a>(
                     "missing `]`",
                 ));
             }
-            let (item, r) = parse_flow_item(rest, line, col_of(rest), interner)?;
+            let (item, r) = parse_flow_item(rest, line, col_of(rest), depth + 1)?;
             items.push(item);
             rest = r.trim_start();
             if let Some(r) = rest.strip_prefix(',') {
@@ -563,8 +579,10 @@ fn parse_flow<'a>(
             } else {
                 unquote_key(raw_key)
             };
-            let key_sym = interner.intern(key.clone());
-            if map.contains_symbol(key_sym) {
+            if map.len() == MAX_MAPPING_KEYS {
+                return Err(too_many_keys(line, key_col));
+            }
+            if map.get(&key).is_some() {
                 return Err(Error::at(
                     ErrorKind::DuplicateKey,
                     line,
@@ -577,17 +595,15 @@ fn parse_flow<'a>(
             if after.starts_with('}') {
                 map.push(EntryRef {
                     key,
-                    key_sym,
                     key_span,
                     node: Node::new(ValueRef::Null, Span::new(line, col_of(after), 0)),
                 });
                 rest = after;
                 continue;
             }
-            let (val, r) = parse_flow_item(after, line, col_of(after), interner)?;
+            let (val, r) = parse_flow_item(after, line, col_of(after), depth + 1)?;
             map.push(EntryRef {
                 key,
-                key_sym,
                 key_span,
                 node: val,
             });
@@ -612,16 +628,16 @@ fn parse_flow<'a>(
     ))
 }
 
-fn parse_flow_item<'a>(
-    t: &'a str,
+fn parse_flow_item(
+    t: &str,
     line: usize,
     col: usize,
-    interner: &mut Interner<'a>,
-) -> Result<(Node<'a>, &'a str), Error> {
+    depth: usize,
+) -> Result<(Node<'_>, &str), Error> {
     let col = col + (t.len() - t.trim_start().len());
     let t = t.trim_start();
     if t.starts_with('[') || t.starts_with('{') {
-        return parse_flow(t, line, col, interner);
+        return parse_flow(t, line, col, depth);
     }
     if t.starts_with('"') || t.starts_with('\'') {
         let quote = t.chars().next().unwrap();
@@ -678,101 +694,133 @@ fn find_flow_colon(t: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Map;
+
+    /// The node at a `/`-separated path of map keys and sequence indices,
+    /// e.g. `tasks/0/func`.
+    fn lookup<'d>(root: &'d Node<'d>, path: &str) -> Option<&'d Node<'d>> {
+        let mut current = root;
+        for part in path.split('/').filter(|p| !p.is_empty()) {
+            current = match &current.value {
+                ValueRef::Map(m) => m.get(part)?,
+                ValueRef::Seq(s) => s.get(part.parse::<usize>().ok()?)?,
+                _ => return None,
+            };
+        }
+        Some(current)
+    }
+
+    /// The value at `path` (see [`lookup`]).
+    fn value<'d>(root: &'d Node<'d>, path: &str) -> Option<&'d ValueRef<'d>> {
+        lookup(root, path).map(|n| &n.value)
+    }
+
+    fn string(s: &str) -> ValueRef<'_> {
+        ValueRef::Str(Cow::Borrowed(s))
+    }
+
+    /// The values of a sequence node's items.
+    fn items<'d>(node: &'d Node<'d>) -> Vec<&'d ValueRef<'d>> {
+        node.as_seq().unwrap().iter().map(|n| &n.value).collect()
+    }
+
+    fn parse_err(src: &str) -> Error {
+        parse_document(src).unwrap_err()
+    }
 
     #[test]
     fn empty_and_comment_only_documents_are_null() {
-        assert_eq!(parse("").unwrap(), Value::Null);
-        assert_eq!(parse("# just a comment\n\n").unwrap(), Value::Null);
+        assert_eq!(parse_document("").unwrap().value, ValueRef::Null);
+        assert_eq!(
+            parse_document("# just a comment\n\n").unwrap().value,
+            ValueRef::Null
+        );
     }
 
     #[test]
     fn scalar_document() {
-        assert_eq!(parse("42").unwrap(), Value::Int(42));
-        assert_eq!(parse("hello").unwrap(), Value::Str("hello".into()));
+        assert_eq!(parse_document("42").unwrap().value, ValueRef::Int(42));
+        assert_eq!(parse_document("hello").unwrap().value, string("hello"));
     }
 
     #[test]
     fn simple_mapping() {
-        let doc = parse("a: 1\nb: two\nc: true\nd:\n").unwrap();
-        assert_eq!(doc.get("a"), Some(&Value::Int(1)));
-        assert_eq!(doc.get("b"), Some(&Value::Str("two".into())));
-        assert_eq!(doc.get("c"), Some(&Value::Bool(true)));
-        assert_eq!(doc.get("d"), Some(&Value::Null));
+        let doc = parse_document("a: 1\nb: two\nc: true\nd:\n").unwrap();
+        assert_eq!(value(&doc, "a"), Some(&ValueRef::Int(1)));
+        assert_eq!(value(&doc, "b"), Some(&string("two")));
+        assert_eq!(value(&doc, "c"), Some(&ValueRef::Bool(true)));
+        assert_eq!(value(&doc, "d"), Some(&ValueRef::Null));
     }
 
     #[test]
     fn nested_mapping() {
-        let doc = parse("outer:\n  inner:\n    leaf: 5\n").unwrap();
-        assert_eq!(doc.lookup_path("outer/inner/leaf"), Some(&Value::Int(5)));
+        let doc = parse_document("outer:\n  inner:\n    leaf: 5\n").unwrap();
+        assert_eq!(value(&doc, "outer/inner/leaf"), Some(&ValueRef::Int(5)));
     }
 
     #[test]
     fn sequence_of_scalars() {
-        let doc = parse("- 1\n- 2\n- three\n").unwrap();
+        let doc = parse_document("- 1\n- 2\n- three\n").unwrap();
         assert_eq!(
-            doc,
-            Value::Seq(vec![
-                Value::Int(1),
-                Value::Int(2),
-                Value::Str("three".into())
-            ])
+            items(&doc),
+            [&ValueRef::Int(1), &ValueRef::Int(2), &string("three")]
         );
     }
 
     #[test]
     fn sequence_of_mappings_with_inline_first_key() {
-        let doc = parse("- func: producer\n  nprocs: 3\n- func: consumer\n  nprocs: 1\n").unwrap();
+        let doc = parse_document("- func: producer\n  nprocs: 3\n- func: consumer\n  nprocs: 1\n")
+            .unwrap();
         let seq = doc.as_seq().unwrap();
         assert_eq!(seq.len(), 2);
-        assert_eq!(seq[0].get("nprocs"), Some(&Value::Int(3)));
+        assert_eq!(seq[0].get("nprocs").and_then(Node::as_i64), Some(3));
         assert_eq!(seq[1].get("func").unwrap().as_str(), Some("consumer"));
     }
 
     #[test]
     fn sequence_under_key_at_same_indent() {
-        let doc = parse("tasks:\n- a\n- b\n").unwrap();
+        let doc = parse_document("tasks:\n- a\n- b\n").unwrap();
         let tasks = doc.get("tasks").unwrap().as_seq().unwrap();
         assert_eq!(tasks.len(), 2);
     }
 
     #[test]
     fn sequence_under_key_indented() {
-        let doc = parse("tasks:\n  - a\n  - b\nother: 1\n").unwrap();
+        let doc = parse_document("tasks:\n  - a\n  - b\nother: 1\n").unwrap();
         assert_eq!(doc.get("tasks").unwrap().as_seq().unwrap().len(), 2);
-        assert_eq!(doc.get("other"), Some(&Value::Int(1)));
+        assert_eq!(value(&doc, "other"), Some(&ValueRef::Int(1)));
     }
 
     #[test]
     fn nested_sequences_via_dash_dash() {
-        let doc = parse("-\n  - 1\n  - 2\n- 3\n").unwrap();
+        let doc = parse_document("-\n  - 1\n  - 2\n- 3\n").unwrap();
         let seq = doc.as_seq().unwrap();
         assert_eq!(seq[0].as_seq().unwrap().len(), 2);
-        assert_eq!(seq[1], Value::Int(3));
+        assert_eq!(seq[1].value, ValueRef::Int(3));
     }
 
     #[test]
     fn flow_sequence_and_mapping() {
-        let doc = parse("dims: [64, 64, 64]\nmeta: {owner: sim, level: 2}\n").unwrap();
+        let doc = parse_document("dims: [64, 64, 64]\nmeta: {owner: sim, level: 2}\n").unwrap();
         assert_eq!(
-            doc.get("dims").unwrap().as_seq().unwrap(),
-            &[Value::Int(64), Value::Int(64), Value::Int(64)]
+            items(doc.get("dims").unwrap()),
+            [&ValueRef::Int(64), &ValueRef::Int(64), &ValueRef::Int(64)]
         );
-        assert_eq!(doc.lookup_path("meta/owner").unwrap().as_str(), Some("sim"));
-        assert_eq!(doc.lookup_path("meta/level"), Some(&Value::Int(2)));
+        assert_eq!(lookup(&doc, "meta/owner").unwrap().as_str(), Some("sim"));
+        assert_eq!(value(&doc, "meta/level"), Some(&ValueRef::Int(2)));
     }
 
     #[test]
     fn empty_flow_collections() {
-        let doc = parse("grid: {}\nitems: []\n").unwrap();
-        assert_eq!(doc.get("grid"), Some(&Value::Map(Map::new())));
-        assert_eq!(doc.get("items"), Some(&Value::Seq(vec![])));
+        let doc = parse_document("grid: {}\nitems: []\n").unwrap();
+        assert_eq!(value(&doc, "grid"), Some(&ValueRef::Map(MapRef::new())));
+        assert_eq!(value(&doc, "items"), Some(&ValueRef::Seq(vec![])));
     }
 
     #[test]
     fn quoted_scalars_and_escapes() {
         let doc =
-            parse("a: \"hello: world\"\nb: 'single # not comment'\nc: \"line\\nbreak\"\n").unwrap();
+            parse_document("a: \"hello: world\"\nb: 'single # not comment'\nc: \"line\\nbreak\"\n")
+                .unwrap();
         assert_eq!(doc.get("a").unwrap().as_str(), Some("hello: world"));
         assert_eq!(doc.get("b").unwrap().as_str(), Some("single # not comment"));
         assert_eq!(doc.get("c").unwrap().as_str(), Some("line\nbreak"));
@@ -782,19 +830,20 @@ mod tests {
     fn flow_scalar_with_escaped_quote_parses() {
         // Regression: the closing-quote scan used to stop at the escaped
         // quote and report UnterminatedString for `k: ["a\"b", 1]`.
-        let doc = parse("k: [\"a\\\"b\", 1]\n").unwrap();
-        let seq = doc.get("k").unwrap().as_seq().unwrap();
-        assert_eq!(seq[0], Value::Str("a\"b".into()));
-        assert_eq!(seq[1], Value::Int(1));
+        let doc = parse_document("k: [\"a\\\"b\", 1]\n").unwrap();
+        assert_eq!(
+            items(doc.get("k").unwrap()),
+            [&string("a\"b"), &ValueRef::Int(1)]
+        );
     }
 
     #[test]
     fn flow_mapping_key_with_colon_inside_quotes() {
         // Regression: the entry used to split at the first `:` even inside
         // quotes, mis-parsing `m: {"a:b": 1}` as key `"a` / value `b": 1`.
-        let doc = parse("m: {\"a:b\": 1}\n").unwrap();
+        let doc = parse_document("m: {\"a:b\": 1}\n").unwrap();
         let m = doc.get("m").unwrap();
-        assert_eq!(m.get("a:b"), Some(&Value::Int(1)));
+        assert_eq!(m.get("a:b").and_then(Node::as_i64), Some(1));
         assert_eq!(m.as_map().map(|m| m.len()), Some(1));
     }
 
@@ -802,102 +851,101 @@ mod tests {
     fn plain_flow_key_with_interior_quote_chars_stays_plain() {
         // A quote only opens a quoted scalar at the start of the key; an
         // apostrophe mid-token (`it's`) is a literal character.
-        let doc = parse("m: {it's: 1, don\"t: 2}\n").unwrap();
+        let doc = parse_document("m: {it's: 1, don\"t: 2}\n").unwrap();
         let m = doc.get("m").unwrap();
-        assert_eq!(m.get("it's"), Some(&Value::Int(1)));
-        assert_eq!(m.get("don\"t"), Some(&Value::Int(2)));
+        assert_eq!(m.get("it's").and_then(Node::as_i64), Some(1));
+        assert_eq!(m.get("don\"t").and_then(Node::as_i64), Some(2));
     }
 
     #[test]
     fn flow_mapping_value_with_escaped_quote_and_comma() {
-        let doc = parse("m: {k: \"a\\\"b, c\", n: 2}\n").unwrap();
+        let doc = parse_document("m: {k: \"a\\\"b, c\", n: 2}\n").unwrap();
         let m = doc.get("m").unwrap();
         assert_eq!(m.get("k").unwrap().as_str(), Some("a\"b, c"));
-        assert_eq!(m.get("n"), Some(&Value::Int(2)));
+        assert_eq!(m.get("n").and_then(Node::as_i64), Some(2));
     }
 
     #[test]
     fn escaped_quote_does_not_confuse_comment_stripping() {
         // `\"` must not toggle the quote tracker, or the ` # ` inside the
         // later scalar would be stripped as a comment.
-        let doc = parse("k: [\"a\\\"b\", \"x # y\"]\n").unwrap();
-        let seq = doc.get("k").unwrap().as_seq().unwrap();
-        assert_eq!(seq[1], Value::Str("x # y".into()));
+        let doc = parse_document("k: [\"a\\\"b\", \"x # y\"]\n").unwrap();
+        assert_eq!(items(doc.get("k").unwrap())[1], &string("x # y"));
     }
 
     #[test]
     fn comments_are_stripped() {
-        let doc = parse("a: 1 # trailing\n# full line\nb: 2\n").unwrap();
-        assert_eq!(doc.get("a"), Some(&Value::Int(1)));
-        assert_eq!(doc.get("b"), Some(&Value::Int(2)));
+        let doc = parse_document("a: 1 # trailing\n# full line\nb: 2\n").unwrap();
+        assert_eq!(value(&doc, "a"), Some(&ValueRef::Int(1)));
+        assert_eq!(value(&doc, "b"), Some(&ValueRef::Int(2)));
     }
 
     #[test]
     fn hash_inside_plain_scalar_not_a_comment() {
-        let doc = parse("path: /group#1/grid\n").unwrap();
+        let doc = parse_document("path: /group#1/grid\n").unwrap();
         assert_eq!(doc.get("path").unwrap().as_str(), Some("/group#1/grid"));
     }
 
     #[test]
     fn leading_document_marker_allowed() {
-        let doc = parse("---\na: 1\n").unwrap();
-        assert_eq!(doc.get("a"), Some(&Value::Int(1)));
+        let doc = parse_document("---\na: 1\n").unwrap();
+        assert_eq!(value(&doc, "a"), Some(&ValueRef::Int(1)));
     }
 
     #[test]
     fn multiple_documents_rejected() {
-        let err = parse("a: 1\n---\nb: 2\n").unwrap_err();
+        let err = parse_err("a: 1\n---\nb: 2\n");
         assert_eq!(err.kind, ErrorKind::Unsupported);
     }
 
     #[test]
     fn duplicate_keys_rejected() {
-        let err = parse("a: 1\na: 2\n").unwrap_err();
+        let err = parse_err("a: 1\na: 2\n");
         assert_eq!(err.kind, ErrorKind::DuplicateKey);
         assert_eq!(err.line(), 2);
     }
 
     #[test]
     fn duplicate_keys_rejected_in_nested_block_mappings() {
-        let err = parse("outer:\n  inner:\n    a: 1\n    a: 2\n").unwrap_err();
+        let err = parse_err("outer:\n  inner:\n    a: 1\n    a: 2\n");
         assert_eq!(err.kind, ErrorKind::DuplicateKey);
         assert_eq!((err.line(), err.column()), (4, 5));
         // Also inside mappings that are sequence items.
-        let err = parse("tasks:\n  - func: x\n    func: y\n").unwrap_err();
+        let err = parse_err("tasks:\n  - func: x\n    func: y\n");
         assert_eq!(err.kind, ErrorKind::DuplicateKey);
         assert_eq!(err.line(), 3);
         // Same key in *sibling* mappings is fine.
-        assert!(parse("a:\n  k: 1\nb:\n  k: 2\n").is_ok());
+        assert!(parse_document("a:\n  k: 1\nb:\n  k: 2\n").is_ok());
     }
 
     #[test]
     fn duplicate_keys_rejected_in_flow_mappings() {
         // Regression: the old parser silently kept the last value.
-        let err = parse("m: {a: 1, a: 2}\n").unwrap_err();
+        let err = parse_err("m: {a: 1, a: 2}\n");
         assert_eq!(err.kind, ErrorKind::DuplicateKey);
         // Column of the second `a`.
         assert_eq!((err.line(), err.column()), (1, 11));
         // Nested flow mappings check their own scope only.
-        assert!(parse("m: {a: {a: 1}}\n").is_ok());
-        let err = parse("m: {o: {x: 1, x: 2}}\n").unwrap_err();
+        assert!(parse_document("m: {a: {a: 1}}\n").is_ok());
+        let err = parse_err("m: {o: {x: 1, x: 2}}\n");
         assert_eq!(err.kind, ErrorKind::DuplicateKey);
         assert_eq!((err.line(), err.column()), (1, 15));
     }
 
     #[test]
     fn tabs_in_indentation_are_a_typed_error() {
-        let err = parse("a:\n\tb: 1\n").unwrap_err();
+        let err = parse_err("a:\n\tb: 1\n");
         assert_eq!(err.kind, ErrorKind::TabIndent);
         // Column of the tab itself, including tabs after spaces.
         assert_eq!((err.line(), err.column()), (2, 1));
-        let err = parse("a:\n  \tb: 1\n").unwrap_err();
+        let err = parse_err("a:\n  \tb: 1\n");
         assert_eq!(err.kind, ErrorKind::TabIndent);
         assert_eq!((err.line(), err.column()), (2, 3));
     }
 
     #[test]
     fn unterminated_string_rejected() {
-        let err = parse("a: \"oops\n").unwrap_err();
+        let err = parse_err("a: \"oops\n");
         assert_eq!(err.kind, ErrorKind::UnterminatedString);
         // Column points at the opening quote.
         assert_eq!(err.column(), 4);
@@ -905,7 +953,7 @@ mod tests {
 
     #[test]
     fn unterminated_flow_rejected() {
-        let err = parse("a: [1, 2\n").unwrap_err();
+        let err = parse_err("a: [1, 2\n");
         assert_eq!(err.kind, ErrorKind::UnterminatedFlow);
         // Column points at the opening bracket.
         assert_eq!(err.column(), 4);
@@ -914,22 +962,22 @@ mod tests {
     #[test]
     fn errors_carry_columns() {
         // Duplicate key: column of the key on the offending line.
-        let err = parse("a: 1\na: 2\n").unwrap_err();
+        let err = parse_err("a: 1\na: 2\n");
         assert_eq!((err.line(), err.column()), (2, 1));
         // Bad indentation: column of the over-indented content.
-        let err = parse("a: 1\n   b: 2\n").unwrap_err();
+        let err = parse_err("a: 1\n   b: 2\n");
         assert_eq!((err.line(), err.column()), (2, 4));
         // Tab in indentation: column of the tab itself.
-        let err = parse("a:\n\tb: 1\n").unwrap_err();
+        let err = parse_err("a:\n\tb: 1\n");
         assert_eq!((err.line(), err.column()), (2, 1));
         // Unterminated string in a nested value: column of its quote.
-        let err = parse("outer:\n  inner: \"x\n").unwrap_err();
+        let err = parse_err("outer:\n  inner: \"x\n");
         assert_eq!((err.line(), err.column()), (2, 10));
         // Stray closer in a flow sequence: column of the junk.
-        let err = parse("a: [1}, 2]\n").unwrap_err();
+        let err = parse_err("a: [1}, 2]\n");
         assert_eq!((err.line(), err.column()), (1, 6));
         // Block scalar: column of the indicator.
-        let err = parse("a: |\n  text\n").unwrap_err();
+        let err = parse_err("a: |\n  text\n");
         assert_eq!((err.line(), err.column()), (1, 4));
     }
 
@@ -938,46 +986,46 @@ mod tests {
         // Regression: a `}` where a sequence expected `,`/`]` used to
         // re-parse as an empty item forever (unbounded memory, no progress).
         // Found by the arbitrary-text property test at high case counts.
-        let err = parse("[BX`JKC=e(}+|!&*Z'k").unwrap_err();
+        let err = parse_err("[BX`JKC=e(}+|!&*Z'k");
         assert!(matches!(
             err.kind,
             ErrorKind::Other | ErrorKind::UnterminatedFlow
         ));
-        assert!(parse("a: [1}, 2]\n").is_err());
-        assert!(parse("a: {k: 1] }\n").is_err());
+        assert!(parse_document("a: [1}, 2]\n").is_err());
+        assert!(parse_document("a: {k: 1] }\n").is_err());
         // Well-formed flow text keeps parsing.
-        assert!(parse("a: [1, 2]\nb: {k: 1}\n").is_ok());
+        assert!(parse_document("a: [1, 2]\nb: {k: 1}\n").is_ok());
     }
 
     #[test]
     fn block_scalars_rejected() {
-        let err = parse("a: |\n  text\n").unwrap_err();
+        let err = parse_err("a: |\n  text\n");
         assert_eq!(err.kind, ErrorKind::Unsupported);
     }
 
     #[test]
     fn anchors_rejected() {
-        let err = parse("a: &anchor 1\n").unwrap_err();
+        let err = parse_err("a: &anchor 1\n");
         assert_eq!(err.kind, ErrorKind::Unsupported);
     }
 
     #[test]
     fn bad_indentation_in_mapping_rejected() {
-        let err = parse("a: 1\n   b: 2\n").unwrap_err();
+        let err = parse_err("a: 1\n   b: 2\n");
         assert_eq!(err.kind, ErrorKind::BadIndentation);
         assert_eq!(err.line(), 2);
     }
 
     #[test]
     fn colon_in_value_without_space_is_part_of_scalar() {
-        let doc = parse("url: http://example.org\n").unwrap();
+        let doc = parse_document("url: http://example.org\n").unwrap();
         assert_eq!(doc.get("url").unwrap().as_str(), Some("http://example.org"));
     }
 
     #[test]
     fn keys_with_quotes() {
-        let doc = parse("\"quoted key\": 1\n").unwrap();
-        assert_eq!(doc.get("quoted key"), Some(&Value::Int(1)));
+        let doc = parse_document("\"quoted key\": 1\n").unwrap();
+        assert_eq!(value(&doc, "quoted key"), Some(&ValueRef::Int(1)));
     }
 
     #[test]
@@ -996,11 +1044,11 @@ tasks:
             file: 0
             memory: 1
 ";
-        let doc = parse(src).unwrap();
-        let dsets = doc.lookup_path("tasks/0/outports/0/dsets").unwrap();
+        let doc = parse_document(src).unwrap();
+        let dsets = lookup(&doc, "tasks/0/outports/0/dsets").unwrap();
         assert_eq!(dsets.as_seq().unwrap().len(), 2);
         assert_eq!(
-            doc.lookup_path("tasks/0/outports/0/dsets/1/name")
+            lookup(&doc, "tasks/0/outports/0/dsets/1/name")
                 .unwrap()
                 .as_str(),
             Some("/group1/particles")
@@ -1022,19 +1070,16 @@ variables:
     shape: [4, 50]
     type: float
 ";
-        let doc = parse(src).unwrap();
+        let doc = parse_document(src).unwrap();
         assert_eq!(
-            doc.lookup_path("io/engine/type").unwrap().as_str(),
+            lookup(&doc, "io/engine/type").unwrap().as_str(),
             Some("SST")
         );
         assert_eq!(
-            doc.lookup_path("io/engine/parameters/QueueLimit"),
-            Some(&Value::Int(5))
+            value(&doc, "io/engine/parameters/QueueLimit"),
+            Some(&ValueRef::Int(5))
         );
-        assert_eq!(
-            doc.lookup_path("variables/0/shape/1"),
-            Some(&Value::Int(50))
-        );
+        assert_eq!(value(&doc, "variables/0/shape/1"), Some(&ValueRef::Int(50)));
     }
 
     // ---- zero-copy / span behaviour ------------------------------------
@@ -1051,13 +1096,13 @@ variables:
         let src = "name: workflow\npath: /group1/grid\nitems: [alpha, beta]\n".to_owned();
         let doc = parse_document(&src).unwrap();
         for path in ["name", "path"] {
-            let node = doc.root().get(path).unwrap();
+            let node = doc.get(path).unwrap();
             match &node.value {
                 ValueRef::Str(Cow::Borrowed(s)) => assert!(is_slice_of(s, &src), "{path}"),
                 other => panic!("expected borrowed scalar for `{path}`, got {other:?}"),
             }
         }
-        let items = doc.root().get("items").unwrap().as_seq().unwrap();
+        let items = doc.get("items").unwrap().as_seq().unwrap();
         for item in items {
             match &item.value {
                 ValueRef::Str(Cow::Borrowed(s)) => assert!(is_slice_of(s, &src)),
@@ -1070,55 +1115,27 @@ variables:
     fn quoted_scalars_borrow_unless_escaped() {
         let src = "a: \"plain text\"\nb: 'single'\nc: \"needs\\nunescape\"\n".to_owned();
         let doc = parse_document(&src).unwrap();
-        match &doc.root().get("a").unwrap().value {
+        match &doc.get("a").unwrap().value {
             ValueRef::Str(Cow::Borrowed(s)) => {
                 assert_eq!(*s, "plain text");
                 assert!(is_slice_of(s, &src));
             }
             other => panic!("expected borrowed double-quoted scalar, got {other:?}"),
         }
-        match &doc.root().get("b").unwrap().value {
+        match &doc.get("b").unwrap().value {
             ValueRef::Str(Cow::Borrowed(s)) => assert!(is_slice_of(s, &src)),
             other => panic!("expected borrowed single-quoted scalar, got {other:?}"),
         }
-        match &doc.root().get("c").unwrap().value {
+        match &doc.get("c").unwrap().value {
             ValueRef::Str(Cow::Owned(s)) => assert_eq!(s, "needs\nunescape"),
             other => panic!("expected owned unescaped scalar, got {other:?}"),
         }
     }
 
     #[test]
-    fn mapping_keys_are_interned_once() {
-        let src = "\
-tasks:
-  - func: producer
-    nprocs: 3
-  - func: consumer
-    nprocs: 1
-";
-        let doc = parse_document(src).unwrap();
-        // Distinct keys: tasks, func, nprocs — `func`/`nprocs` repeat but
-        // intern to one symbol each.
-        assert_eq!(doc.interner().len(), 3);
-        let tasks = doc.root().get("tasks").unwrap().as_seq().unwrap();
-        let sym_of = |n: &Node<'_>, key: &str| {
-            n.as_map()
-                .unwrap()
-                .iter()
-                .find(|e| e.key == key)
-                .unwrap()
-                .key_sym
-        };
-        assert_eq!(sym_of(&tasks[0], "func"), sym_of(&tasks[1], "func"));
-        assert_ne!(sym_of(&tasks[0], "func"), sym_of(&tasks[0], "nprocs"));
-        assert_eq!(doc.interner().resolve(sym_of(&tasks[0], "func")), "func");
-    }
-
-    #[test]
     fn nodes_carry_spans() {
         let src = "a: 1\nb:\n  - x\n  - y\nc: [1, 2]\n";
-        let doc = parse_document(src).unwrap();
-        let root = doc.root();
+        let root = parse_document(src).unwrap();
         assert_eq!(root.span.position(), (1, 1));
         assert_eq!(root.get("a").unwrap().span, Span::new(1, 4, 1));
         let b = root.get("b").unwrap();
@@ -1145,25 +1162,10 @@ tasks:
         dsets: [a, b]
 meta: {owner: sim, level: 2}
 ";
-        let doc = parse_document(src).unwrap();
-        let spans = doc.root().spans();
+        let spans = parse_document(src).unwrap().spans();
         let positions: Vec<_> = spans.iter().map(Span::position).collect();
         let mut sorted = positions.clone();
         sorted.sort();
         assert_eq!(positions, sorted, "pre-order spans must be non-decreasing");
-    }
-
-    #[test]
-    fn owned_and_borrowed_apis_agree() {
-        let src = "\
-io:
-  engine: {type: SST, params: [1, 2.5, true, null]}
-  name: \"Simulation Output\"
-tasks:
-  - func: producer
-";
-        let via_borrowed = parse_document(src).unwrap().into_owned();
-        let via_owned = parse(src).unwrap();
-        assert_eq!(via_borrowed, via_owned);
     }
 }

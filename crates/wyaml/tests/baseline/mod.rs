@@ -3,10 +3,12 @@
 //!
 //! The differential properties in `spans_and_differential.rs` parse every
 //! generated document with both parsers and require the zero-copy parser
-//! (`wfspeak_wyaml::parse`) to be a refinement of this one: whenever the
-//! new parser accepts, the baseline must accept with the same value, and
-//! whenever the baseline rejects, the new parser must reject too.  It is
-//! built from the crate's public `Error`, `ErrorKind`, `Map` and `Value`.
+//! (`wfspeak_wyaml::parse_document`) to be a refinement of this one:
+//! whenever the new parser accepts, the baseline must accept with the same
+//! value, and whenever the baseline rejects, the new parser must reject
+//! too.  It is built from the crate's public `Error` and `ErrorKind` and
+//! the test-support owned tree (`owned::Map`, `owned::Value`), which is
+//! what the zero-copy parser's result is converted to for comparison.
 //!
 //! It deliberately retains the old parser's two known bugs (fixed in the
 //! zero-copy parser): tabs in indentation are reported as plain
@@ -15,7 +17,9 @@
 //! last-wins instead of rejected.  Do not fix them here; the differential
 //! properties are written to tolerate exactly these two divergences.
 
-use wfspeak_wyaml::{Error, ErrorKind, Map, Value};
+use wfspeak_wyaml::{Error, ErrorKind};
+
+use crate::owned::{Map, Value};
 
 /// Parse a YAML-subset document with the pre-rewrite owned parser.
 ///
@@ -362,7 +366,33 @@ fn parse_scalar(text: &str, line: usize, col: usize) -> Result<Value, Error> {
             "anchors, aliases and tags are not supported",
         ));
     }
-    Ok(Value::from_plain_scalar(t))
+    Ok(plain_scalar(t))
+}
+
+/// Interpret a plain (unquoted) scalar string, resolving null, booleans
+/// and numbers the way YAML 1.1 core schema does for the common cases.
+pub fn plain_scalar(s: &str) -> Value {
+    let t = s.trim();
+    match t {
+        "" | "~" | "null" | "Null" | "NULL" => return Value::Null,
+        "true" | "True" | "TRUE" => return Value::Bool(true),
+        "false" | "False" | "FALSE" => return Value::Bool(false),
+        _ => {}
+    }
+    if let Ok(i) = t.parse::<i64>() {
+        return Value::Int(i);
+    }
+    // Only treat as float if it looks numeric (avoid "1.0.0" or version
+    // strings being mangled).
+    if t.parse::<f64>().is_ok()
+        && t.chars()
+            .all(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
+    {
+        if let Ok(f) = t.parse::<f64>() {
+            return Value::Float(f);
+        }
+    }
+    Value::Str(t.to_owned())
 }
 
 fn parse_quoted(t: &str, line: usize, col: usize) -> Result<Value, Error> {
@@ -528,7 +558,7 @@ fn parse_flow_item(t: &str, line: usize, col: usize) -> Result<(Value, &str), Er
     }
     // Plain flow scalar ends at ',', ']' or '}'.
     let end = t.find([',', ']', '}']).unwrap_or(t.len());
-    Ok((Value::from_plain_scalar(&t[..end]), &t[end..]))
+    Ok((plain_scalar(&t[..end]), &t[end..]))
 }
 
 /// Byte index of the quote closing the quoted scalar that starts at `t[0]`,

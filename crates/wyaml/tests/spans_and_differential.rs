@@ -13,43 +13,18 @@
 //!   shaped document than its space-indented twin (tabs are rejected
 //!   outright, with the tab's exact column).
 //! * **Slice identity** — borrowed scalars point into the original buffer.
+//!
+//! Both parsers' results are compared as the test-support owned tree
+//! (`owned`), and documents are generated through its emitter.
 
 mod baseline;
+mod owned;
 
 use std::borrow::Cow;
 
+use owned::{block_value_strategy, emit, parse};
 use proptest::prelude::*;
-use wfspeak_wyaml::{emit, parse, parse_document, ErrorKind, Map, Node, Value, ValueRef};
-
-/// Strategy for scalars with printable ASCII plus tabs and newlines — the
-/// payloads the block emitter has to quote and escape.
-fn gnarly_string() -> impl Strategy<Value = String> {
-    "[ -~\t\n]{0,14}"
-}
-
-/// Block-style documents: nested mappings, sequences of mappings, gnarly
-/// scalars and keys — the corpus shapes with adversarial content.
-fn block_value_strategy() -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
-        Just(Value::Null),
-        any::<bool>().prop_map(Value::Bool),
-        (-1000i64..1000).prop_map(Value::Int),
-        (-100.0f64..100.0).prop_map(|f| Value::Float((f * 100.0).round() / 100.0)),
-        gnarly_string().prop_map(Value::Str),
-    ];
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        prop_oneof![
-            proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Seq),
-            proptest::collection::vec(("[ -~\t\n]{1,8}", inner), 0..4).prop_map(|entries| {
-                let mut m = Map::new();
-                for (k, v) in entries {
-                    m.insert(k, v);
-                }
-                Value::Map(m)
-            }),
-        ]
-    })
-}
+use wfspeak_wyaml::{parse_document, ErrorKind, Node, ValueRef};
 
 /// Count scalar string leaves, splitting them into borrowed-from-`buffer`
 /// and owned.
@@ -95,7 +70,8 @@ fn tab_twin(source: &str) -> String {
 
 #[test]
 fn baseline_and_zero_copy_agree_on_the_happy_path() {
-    let src = "\
+    let documents = [
+        "\
 io:
   name: SimulationOutput
   engine:
@@ -103,8 +79,32 @@ io:
 variables:
   - name: array
     shape: [4, 50]
-";
-    assert_eq!(parse(src).unwrap(), baseline::parse(src).unwrap());
+",
+        "\
+io:
+  engine: {type: SST, params: [1, 2.5, true, null]}
+  name: \"Simulation Output\"
+tasks:
+  - func: producer
+",
+    ];
+    for src in documents {
+        assert_eq!(parse(src).unwrap(), baseline::parse(src).unwrap());
+    }
+}
+
+#[test]
+fn plain_resolution_matches_owned_model() {
+    for raw in [
+        "null", "~", "", "true", "False", "42", "-7", "3.5", "x.h5", "1.0.0", "1e3", "+5", ".5",
+    ] {
+        let node = Node::new(ValueRef::from_plain(raw), wfspeak_wyaml::Span::point(1, 1));
+        assert_eq!(
+            owned::from_node(&node),
+            baseline::plain_scalar(raw),
+            "{raw:?}"
+        );
+    }
 }
 
 proptest! {
@@ -156,7 +156,7 @@ proptest! {
     fn emitted_documents_have_ordered_spans(value in block_value_strategy()) {
         let text = emit(&value);
         let doc = parse_document(&text).unwrap_or_else(|e| panic!("rejected:\n{text:?}\nerror: {e}"));
-        let spans = doc.root().spans();
+        let spans = doc.spans();
         let positions: Vec<_> = spans.iter().map(|s| s.position()).collect();
         let mut sorted = positions.clone();
         sorted.sort();
@@ -182,7 +182,7 @@ proptest! {
         let text = emit(&value);
         let doc = parse_document(&text).unwrap_or_else(|e| panic!("rejected:\n{text:?}\nerror: {e}"));
         let (mut borrowed, mut owned) = (0usize, 0usize);
-        count_scalars(doc.root(), &text, &mut borrowed, &mut owned);
+        count_scalars(&doc, &text, &mut borrowed, &mut owned);
         let escapes = text.lines().filter(|l| l.contains('\\')).count();
         prop_assert!(owned <= escapes,
             "{owned} owned scalars but only {escapes} lines with escapes in:\n{text:?}");

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use wfspeak::core::{Benchmark, BenchmarkConfig, PromptVariant};
-use wfspeak::wyaml::parse;
+use wfspeak::wyaml::parse_document;
 
 #[test]
 fn execute_trials1_summary_matches_the_golden_snapshot() {
@@ -110,7 +110,7 @@ fn the_configuration_corpus_parses_to_its_golden_outcome() {
     let mut parsed = 0;
     let mut failures: BTreeMap<&str, usize> = BTreeMap::new();
     for artifact in &corpus {
-        match parse(artifact) {
+        match parse_document(artifact) {
             Ok(_) => parsed += 1,
             Err(e) => *failures.entry(e.kind.code()).or_default() += 1,
         }
