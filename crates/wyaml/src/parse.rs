@@ -1168,4 +1168,36 @@ meta: {owner: sim, level: 2}
         sorted.sort();
         assert_eq!(positions, sorted, "pre-order spans must be non-decreasing");
     }
+
+    /// The borrowed tree holds the keys and values an owned copy of this
+    /// document held, and every string is still a slice of the source.
+    #[test]
+    fn owned_and_borrowed_apis_agree() {
+        use ValueRef::{Bool, Float, Int, Null};
+        let src = "\
+io:
+  engine: {type: SST, params: [1, 2.5, true, null]}
+  name: \"Simulation Output\"
+tasks:
+  - func: producer
+";
+        let root = parse_document(src).unwrap();
+        let keys = |path| -> Vec<&str> {
+            let map = lookup(&root, path).unwrap().as_map().unwrap();
+            map.iter().map(|e| e.key.as_ref()).collect()
+        };
+        assert_eq!(keys(""), ["io", "tasks"]);
+        assert_eq!(keys("io"), ["engine", "name"]);
+        assert_eq!(keys("io/engine"), ["type", "params"]);
+        assert_eq!(keys("tasks/0"), ["func"]);
+        assert_eq!(items(lookup(&root, "tasks").unwrap()).len(), 1);
+        let params = items(lookup(&root, "io/engine/params").unwrap());
+        assert_eq!(params, [&Int(1), &Float(2.5), &Bool(true), &Null]);
+        let strings =
+            ["io/engine/type", "io/name", "tasks/0/func"].map(|p| match value(&root, p) {
+                Some(ValueRef::Str(Cow::Borrowed(s))) if is_slice_of(s, src) => *s,
+                other => panic!("expected a borrowed slice at `{p}`, got {other:?}"),
+            });
+        assert_eq!(strings, ["SST", "Simulation Output", "producer"]);
+    }
 }
