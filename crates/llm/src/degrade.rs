@@ -15,6 +15,16 @@
 //!
 //! How much damage is applied is controlled by a *degradation level* in
 //! `[0, 1]`, quantised into five tiers.
+//!
+//! Code below the exact tier is also reworded by `style_rewrite`, whose
+//! identifier renames are the costliest step of a simulated completion. It
+//! renames in one scan over the text rather than one pass per pair: each
+//! maximal run of ASCII identifier bytes (`[A-Za-z0-9_]`; a byte of 0x80 or
+//! above ends a run) that equals a drawn pair's `from` is replaced by its
+//! `to`. That equals renaming pair by pair in table order only while no
+//! pair's `to` is a later pair's `from` in the same table; a unit test
+//! holds both tables to it, and a differential property test holds the
+//! scan to the pair-by-pair renamer.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -119,29 +129,73 @@ pub fn degrade_code(
     }
 }
 
-/// Replace whole-identifier occurrences of `from` with `to` (no partial-word
-/// replacements, no changes inside other identifiers).
-fn rename_identifier(text: &str, from: &str, to: &str) -> String {
-    let mut out = String::with_capacity(text.len());
+/// Local identifiers `style_rewrite` renames in Python task code, as
+/// `(from, to)` pairs in the order their draws are made. No pair's `to` is
+/// a later pair's `from` (see [`rename_identifiers`]).
+const PYTHON_RENAMES: &[(&str, &str)] = &[
+    ("array", "values"),
+    ("total", "checksum"),
+    ("n", "num_values"),
+    ("iterations", "num_steps"),
+    ("sleep_interval", "delay"),
+    ("outfile", "output_path"),
+    ("infile", "input_path"),
+    ("produce", "run_producer"),
+    ("t", "step"),
+];
+
+/// Local identifiers `style_rewrite` renames in C task code; the same rule
+/// as [`PYTHON_RENAMES`] holds.
+const C_RENAMES: &[(&str, &str)] = &[
+    ("total_sum", "global_sum"),
+    ("array", "data"),
+    ("sum", "local_sum"),
+    ("engine", "writer"),
+    ("iterations", "num_steps"),
+    ("sleep_interval", "delay"),
+    ("i", "idx"),
+    ("rank", "world_rank"),
+    ("size", "world_size"),
+    ("t", "step"),
+];
+
+/// Whether `b` can be part of an identifier. A byte of 0x80 or above (any
+/// part of a non-ASCII char) cannot, so a non-ASCII letter ends an
+/// identifier.
+fn is_ident(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Rename whole identifiers in one scan: every maximal run of identifier
+/// bytes that equals a `from` of `pairs` becomes that pair's `to` (the
+/// first such pair, though the tables hold each `from` once); everything
+/// else is copied unchanged, a span at a time.
+///
+/// Renaming with each pair in turn would give the same text as long as no
+/// pair's `to` is a later pair's `from`: a `to` fills a whole run, so only
+/// a later pair with that `from` could see it.
+fn rename_identifiers(text: &str, pairs: &[(&str, &str)]) -> String {
     let bytes = text.as_bytes();
-    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut out = String::with_capacity(text.len() + text.len() / 8);
+    let mut copied = 0;
     let mut i = 0;
     while i < bytes.len() {
-        if text[i..].starts_with(from) {
-            let before_ok = i == 0 || !is_ident(bytes[i - 1]);
-            let after = i + from.len();
-            let after_ok = after >= bytes.len() || !is_ident(bytes[after]);
-            if before_ok && after_ok {
-                out.push_str(to);
-                i = after;
-                continue;
-            }
+        if !is_ident(bytes[i]) {
+            i += 1;
+            continue;
         }
-        // Advance one UTF-8 character.
-        let ch_len = text[i..].chars().next().map(char::len_utf8).unwrap_or(1);
-        out.push_str(&text[i..i + ch_len]);
-        i += ch_len;
+        let start = i;
+        while i < bytes.len() && is_ident(bytes[i]) {
+            i += 1;
+        }
+        let word = &text[start..i];
+        if let Some((_, to)) = pairs.iter().find(|(from, _)| *from == word) {
+            out.push_str(&text[copied..start]);
+            out.push_str(to);
+            copied = i;
+        }
     }
+    out.push_str(&text[copied..]);
     out
 }
 
@@ -149,40 +203,22 @@ fn rename_identifier(text: &str, from: &str, to: &str) -> String {
 /// that "knows" the right API rarely reproduces the reference word for word.
 /// Renames local identifiers (never API calls), drops comments and blank
 /// lines, and reworks log strings; `intensity` in [0, 1] controls how much.
+///
+/// The first `intensity` share of the language's rename table is drawn
+/// pair by pair (each kept with probability 0.9, in table order), and the
+/// kept pairs are applied together in one scan by [`rename_identifiers`],
+/// which gives the text renaming pair by pair would because neither table
+/// has a pair whose `to` is a later pair's `from`.
 fn style_rewrite(text: &str, python: bool, intensity: f64, rng: &mut StdRng) -> String {
-    let renames: &[(&str, &str)] = if python {
-        &[
-            ("array", "values"),
-            ("total", "checksum"),
-            ("n", "num_values"),
-            ("iterations", "num_steps"),
-            ("sleep_interval", "delay"),
-            ("outfile", "output_path"),
-            ("infile", "input_path"),
-            ("produce", "run_producer"),
-            ("t", "step"),
-        ]
-    } else {
-        &[
-            ("total_sum", "global_sum"),
-            ("array", "data"),
-            ("sum", "local_sum"),
-            ("engine", "writer"),
-            ("iterations", "num_steps"),
-            ("sleep_interval", "delay"),
-            ("i", "idx"),
-            ("rank", "world_rank"),
-            ("size", "world_size"),
-            ("t", "step"),
-        ]
-    };
+    let renames = if python { PYTHON_RENAMES } else { C_RENAMES };
     let count = ((renames.len() as f64) * intensity).round() as usize;
-    let mut out = text.to_owned();
-    for (from, to) in renames.iter().take(count) {
-        if rng.gen_bool(0.9) {
-            out = rename_identifier(&out, from, to);
-        }
-    }
+    let kept: Vec<(&str, &str)> = renames
+        .iter()
+        .take(count)
+        .filter(|_| rng.gen_bool(0.9))
+        .copied()
+        .collect();
+    let mut out = rename_identifiers(text, &kept);
     if intensity >= 0.5 {
         // Drop comments and collapse blank lines: models rarely carry the
         // user's comments through verbatim.
@@ -922,5 +958,121 @@ mod tests {
         assert!(parsl.contains("Config("));
         let pycompss = degrade_config(WorkflowSystemId::PyCompss, 0.1, ModelId::O3, &mut rng(1));
         assert!(pycompss.contains("<Project>"));
+    }
+
+    /// The renamer `rename_identifiers` replaced: one pass over the text per
+    /// pair, replacing whole-identifier occurrences of `from` with `to`.
+    fn rename_identifier(text: &str, from: &str, to: &str) -> String {
+        let mut out = String::with_capacity(text.len());
+        let bytes = text.as_bytes();
+        let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+        let mut i = 0;
+        while i < bytes.len() {
+            if text[i..].starts_with(from) {
+                let before_ok = i == 0 || !is_ident(bytes[i - 1]);
+                let after = i + from.len();
+                let after_ok = after >= bytes.len() || !is_ident(bytes[after]);
+                if before_ok && after_ok {
+                    out.push_str(to);
+                    i = after;
+                    continue;
+                }
+            }
+            // Advance one UTF-8 character.
+            let ch_len = text[i..].chars().next().map(char::len_utf8).unwrap_or(1);
+            out.push_str(&text[i..i + ch_len]);
+            i += ch_len;
+        }
+        out
+    }
+
+    #[test]
+    fn no_rename_feeds_a_later_one() {
+        for table in [PYTHON_RENAMES, C_RENAMES] {
+            for (k, (_, to)) in table.iter().enumerate() {
+                for (from, _) in &table[k + 1..] {
+                    assert_ne!(to, from, "a later pair would rename `{to}` again");
+                }
+            }
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Uniform choice among fixed fragments.
+        fn one_of(options: &'static [&'static str]) -> impl Strategy<Value = String> {
+            (0..options.len()).prop_map(move |i| options[i].to_owned())
+        }
+
+        /// Strings of 1–3 chars drawn from `lo..=hi`.
+        fn chars_in(lo: char, hi: char) -> impl Strategy<Value = String> {
+            proptest::collection::vec(proptest::char::range(lo, hi), 1..4)
+                .prop_map(|chars| chars.into_iter().collect::<String>())
+        }
+
+        /// Both tables' words, `from` and `to` alike.
+        fn table_word() -> impl Strategy<Value = String> {
+            let words: Vec<&'static str> = PYTHON_RENAMES
+                .iter()
+                .chain(C_RENAMES)
+                .flat_map(|&(from, to)| [from, to])
+                .collect();
+            (0..words.len()).prop_map(move |i| words[i].to_owned())
+        }
+
+        /// Identifiers that contain a table word without being one (`total_sum`,
+        /// which holds `total` and `sum`, comes from `table_word`).
+        const CONTAINING: &[&str] = &[
+            "array2", "_t", "t_", "ti", "it", "t_sum", "sum_", "n0", "nn", "my_rank", "sizes",
+            "engine_", "_i", "i2", "arrays", "ranks", "delay_t", "t1",
+        ];
+        const PUNCTUATION: &[&str] = &[
+            " ", "\n", "\t", "(", ")", ",", ";", ".", "=", "*", "&", "[", "]", "\"", "#", "/*",
+            "*/", "->", "_", "__",
+        ];
+
+        /// One piece of text.
+        fn fragment() -> impl Strategy<Value = String> {
+            prop_oneof![
+                table_word(),
+                table_word(),
+                one_of(CONTAINING),
+                one_of(PUNCTUATION),
+                one_of(PUNCTUATION),
+                "[a-z_]{1,3}|[A-Z][a-z0-9]{0,2}",
+                "[0-9]{1,3}",
+                chars_in('À', 'ÿ'),
+                chars_in('α', 'ω'),
+                chars_in('一', '龥'),
+                chars_in('𐐀', '𐑏'),
+            ]
+        }
+
+        fn text() -> impl Strategy<Value = String> {
+            proptest::collection::vec(fragment(), 0..40).prop_map(|pieces| pieces.concat())
+        }
+
+        proptest! {
+            #[test]
+            fn one_scan_equals_renaming_pair_by_pair(
+                text in text(),
+                python in any::<bool>(),
+                kept in proptest::collection::vec(any::<bool>(), 10),
+            ) {
+                let table = if python { PYTHON_RENAMES } else { C_RENAMES };
+                let pairs: Vec<(&str, &str)> = table
+                    .iter()
+                    .zip(&kept)
+                    .filter(|(_, &keep)| keep)
+                    .map(|(&pair, _)| pair)
+                    .collect();
+                let expected = pairs
+                    .iter()
+                    .fold(text.clone(), |acc, (from, to)| rename_identifier(&acc, from, to));
+                prop_assert_eq!(rename_identifiers(&text, &pairs), expected);
+            }
+        }
     }
 }

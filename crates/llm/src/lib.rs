@@ -153,18 +153,12 @@ impl CompletionRequest {
 pub struct CompletionResponse {
     /// The raw model output (possibly markdown-fenced, possibly with prose).
     pub text: String,
-    /// Rough output-size proxy: number of whitespace-separated tokens.
-    pub output_tokens: usize,
 }
 
 impl CompletionResponse {
     /// Wrap raw text in a response.
     pub fn from_text(text: String) -> Self {
-        let output_tokens = text.split_whitespace().count();
-        CompletionResponse {
-            text,
-            output_tokens,
-        }
+        CompletionResponse { text }
     }
 }
 
@@ -210,12 +204,6 @@ mod tests {
         assert!((p.temperature - 0.2).abs() < f64::EPSILON);
         assert!((p.top_p - 0.95).abs() < f64::EPSILON);
         assert_eq!(p.seed, 3);
-    }
-
-    #[test]
-    fn response_counts_tokens() {
-        let r = CompletionResponse::from_text("tasks:\n  - func: producer".to_string());
-        assert_eq!(r.output_tokens, 4);
     }
 
     #[test]

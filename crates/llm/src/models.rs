@@ -29,10 +29,10 @@ impl SimulatedLlm {
         ModelId::ALL.iter().map(|m| SimulatedLlm::new(*m)).collect()
     }
 
-    fn response_style(&self, body: &str, task: &TaskKind, rng: &mut StdRng) -> String {
+    fn response_style(&self, body: String, task: &TaskKind, rng: &mut StdRng) -> String {
         let profile = behavior(self.model);
         if !rng.gen_bool(profile.verbosity) {
-            return body.to_owned();
+            return body;
         }
         let language_tag = match task {
             TaskKind::Configuration { system } => match system {
@@ -113,7 +113,7 @@ impl LlmClient for SimulatedLlm {
                     .to_owned()
             }
         };
-        let text = self.response_style(&body, &analysis.task, &mut rng);
+        let text = self.response_style(body, &analysis.task, &mut rng);
         CompletionResponse::from_text(text)
     }
 }

@@ -54,9 +54,9 @@ pub struct RequestAnalysis {
     pub wording_fingerprint: u64,
 }
 
-/// Mentioned systems in prompt order (first mention first).
-fn mentioned_systems(prompt: &str) -> Vec<WorkflowSystemId> {
-    let lower = prompt.to_ascii_lowercase();
+/// Mentioned systems in prompt order (first mention first), from the
+/// lowercased prompt.
+fn mentioned_systems(lower: &str) -> Vec<WorkflowSystemId> {
     let mut found: Vec<(usize, WorkflowSystemId)> = Vec::new();
     for sys in WorkflowSystemId::ALL {
         let needle = sys.name().to_ascii_lowercase();
@@ -71,7 +71,7 @@ fn mentioned_systems(prompt: &str) -> Vec<WorkflowSystemId> {
 /// Analyse a prompt.
 pub fn analyze(prompt: &str) -> RequestAnalysis {
     let lower = prompt.to_ascii_lowercase();
-    let systems = mentioned_systems(prompt);
+    let systems = mentioned_systems(&lower);
     let has_embedded_code = prompt.contains("```")
         || prompt.contains("#include")
         || prompt.contains("def ")
@@ -111,11 +111,9 @@ pub fn analyze(prompt: &str) -> RequestAnalysis {
 
     // Fingerprint only the instruction part (before any embedded code),
     // so the same wording with different embedded code hashes identically.
-    let instructions: String = prompt
-        .split("```")
-        .next()
-        .unwrap_or(prompt)
-        .to_ascii_lowercase();
+    // Lowercasing maps ASCII letters byte for byte and leaves the backticks
+    // alone, so this is the lowercased first segment of the prompt.
+    let instructions = lower.split("```").next().unwrap_or(&lower);
     let mut fingerprint: u64 = 0xcbf29ce484222325;
     for b in instructions.bytes() {
         fingerprint ^= b as u64;

@@ -89,8 +89,14 @@ impl Adios2Config {
                     continue;
                 }
             };
+            // The name is read first so that a warning about the engine
+            // names the IO wherever `IO` comes in the definition.
             let mut io = Adios2Io {
-                name: String::new(),
+                name: map
+                    .get("IO")
+                    .and_then(Node::as_str)
+                    .unwrap_or_default()
+                    .to_owned(),
                 engine: String::new(),
                 variables: Vec::new(),
             };
@@ -99,7 +105,7 @@ impl Adios2Config {
             } in map.iter()
             {
                 match key.as_ref() {
-                    "IO" => io.name = value.as_str().unwrap_or_default().to_owned(),
+                    "IO" => {}
                     "Engine" => {
                         if let Some(engine_map) = value.as_map() {
                             for EntryRef {
@@ -117,19 +123,26 @@ impl Adios2Config {
                             io.engine = s.to_owned();
                         }
                     }
-                    "Variables" => {
-                        if let Some(vars) = value.as_seq() {
-                            for v in vars {
-                                if let Some(name) = v
-                                    .get("Variable")
-                                    .and_then(Node::as_str)
-                                    .or_else(|| v.as_str())
-                                {
-                                    io.variables.push(name.to_owned());
+                    "Variables" => match value.as_seq() {
+                        Some(vars) => {
+                            for (v_idx, v) in vars.iter().enumerate() {
+                                match v.get("Variable").and_then(Node::as_str).or_else(|| v.as_str()) {
+                                    Some(name) => io.variables.push(name.to_owned()),
+                                    None => report.push(Diagnostic::error(
+                                        DiagnosticKind::Schema,
+                                        format!("IO definition #{idx}: `Variables` entry #{v_idx} is neither a name nor a mapping with a `Variable` name"),
+                                    )),
                                 }
                             }
                         }
-                    }
+                        None => report.push(Diagnostic::error(
+                            DiagnosticKind::Schema,
+                            format!(
+                                "IO definition #{idx}: `Variables` must be a sequence, found {}",
+                                value.type_name()
+                            ),
+                        )),
+                    },
                     other if catalog.is_real_config_field(other) => {}
                     other => {
                         report.push(Diagnostic::error(DiagnosticKind::UnknownField, format!("IO definition #{idx}: field `{other}` does not exist in ADIOS2 configs"),

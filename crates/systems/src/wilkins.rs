@@ -262,7 +262,8 @@ fn parse_task(
             return None;
         }
     };
-    let mut func = None;
+    // `Err` holds the type of a `func` that is not a string.
+    let mut func: Option<Result<String, &str>> = None;
     let mut nprocs = 1usize;
     let mut inports = Vec::new();
     let mut outports = Vec::new();
@@ -271,7 +272,7 @@ fn parse_task(
     } in map.iter()
     {
         match key.as_ref() {
-            "func" => func = value.as_str().map(str::to_owned),
+            "func" => func = Some(value.as_str().map(str::to_owned).ok_or(value.type_name())),
             "nprocs" => match value.as_i64() {
                 Some(n) if n > 0 => nprocs = n as usize,
                 _ => report.push(Diagnostic::error(
@@ -292,7 +293,14 @@ fn parse_task(
         }
     }
     let func = match func {
-        Some(f) => f,
+        Some(Ok(f)) => f,
+        Some(Err(found)) => {
+            report.push(Diagnostic::error(
+                DiagnosticKind::Schema,
+                format!("task #{idx}: `func` must be a string, found {found}"),
+            ));
+            return None;
+        }
         None => {
             report.push(Diagnostic::error(
                 DiagnosticKind::Schema,
@@ -338,48 +346,57 @@ fn parse_ports(
                 continue;
             }
         };
-        let mut filename = String::new();
+        // `Err` holds the type of a `filename` that is not a string.
+        let mut filename: Option<Result<&str, &str>> = None;
         let mut dsets = Vec::new();
         for EntryRef { key, node: v, .. } in map.iter() {
             match key.as_ref() {
-                "filename" => filename = v.as_str().unwrap_or_default().to_owned(),
+                "filename" => filename = Some(v.as_str().ok_or(v.type_name())),
                 "dsets" => {
                     if let Some(list) = v.as_seq() {
                         for d in list {
-                            if let Some(dm) = d.as_map() {
-                                let mut dset = WilkinsDset {
-                                    name: String::new(),
-                                    file: false,
-                                    memory: true,
-                                };
-                                for EntryRef {
-                                    key: dk, node: dv, ..
-                                } in dm.iter()
-                                {
-                                    match dk.as_ref() {
-                                        "name" => {
-                                            dset.name = dv.as_str().unwrap_or_default().to_owned()
-                                        }
-                                        "file" => {
-                                            dset.file = parse_bool_flag(dv).unwrap_or(false)
-                                        }
-                                        "memory" => {
-                                            dset.memory = parse_bool_flag(dv).unwrap_or(true)
-                                        }
-                                        other => report.push(Diagnostic::error(DiagnosticKind::UnknownField, format!(
-                                                "task #{task_idx}: dset field `{other}` does not exist in Wilkins"
-                                            ),
-                                        )),
+                            let Some(dm) = d.as_map() else {
+                                report.push(Diagnostic::error(
+                                    DiagnosticKind::Schema,
+                                    format!(
+                                        "task #{task_idx}: `dsets` entries must be mappings, found {}",
+                                        d.type_name()
+                                    ),
+                                ));
+                                continue;
+                            };
+                            let mut dset = WilkinsDset {
+                                name: String::new(),
+                                file: false,
+                                memory: true,
+                            };
+                            for EntryRef {
+                                key: dk, node: dv, ..
+                            } in dm.iter()
+                            {
+                                match dk.as_ref() {
+                                    "name" => {
+                                        dset.name = dv.as_str().unwrap_or_default().to_owned()
                                     }
+                                    "file" => {
+                                        dset.file = parse_bool_flag(dv).unwrap_or(false)
+                                    }
+                                    "memory" => {
+                                        dset.memory = parse_bool_flag(dv).unwrap_or(true)
+                                    }
+                                    other => report.push(Diagnostic::error(DiagnosticKind::UnknownField, format!(
+                                            "task #{task_idx}: dset field `{other}` does not exist in Wilkins"
+                                        ),
+                                    )),
                                 }
-                                if dset.name.is_empty() {
-                                    report.push(Diagnostic::error(
-                                        DiagnosticKind::Schema,
-                                        format!("task #{task_idx}: dset entry missing `name`"),
-                                    ));
-                                } else {
-                                    dsets.push(dset);
-                                }
+                            }
+                            if dset.name.is_empty() {
+                                report.push(Diagnostic::error(
+                                    DiagnosticKind::Schema,
+                                    format!("task #{task_idx}: dset entry missing `name`"),
+                                ));
+                            } else {
+                                dsets.push(dset);
                             }
                         }
                     } else {
@@ -404,12 +421,18 @@ fn parse_ports(
                 }
             }
         }
-        if filename.is_empty() {
-            report.push(Diagnostic::warning(
+        match filename {
+            Some(Err(found)) => report.push(Diagnostic::warning(
+                DiagnosticKind::Schema,
+                format!("task #{task_idx}: `{label}` entry's `filename` must be a string, found {found}"),
+            )),
+            Some(Ok("")) | None => report.push(Diagnostic::warning(
                 DiagnosticKind::Schema,
                 format!("task #{task_idx}: `{label}` entry has no `filename`"),
-            ));
+            )),
+            Some(Ok(_)) => {}
         }
+        let filename = filename.and_then(Result::ok).unwrap_or_default().to_owned();
         ports.push(WilkinsPort { filename, dsets });
     }
     ports

@@ -113,7 +113,7 @@ fn wilkins_reports_match_their_pins() {
             "tasks:\n  - func: p\n    nprocs: 0\n    command: ./p\n    io_freq: 2\n    zerocopy: 1\n    actions: [a]\n    \"com\\\"mand\": x\n  - func: q\n    nprocs: -2\n  - func: r\n    nprocs: two\n  - func: s\n    nprocs: 2.5\n",
             "error[schema]: task #0: `nprocs` must be a positive integer\nerror[unknown-field]: task #0: field `command` does not exist in Wilkins task entries\nerror[unknown-field]: task #0: field `com\"mand` does not exist in Wilkins task entries\nerror[schema]: task #1: `nprocs` must be a positive integer\nerror[schema]: task #2: `nprocs` must be a positive integer\nerror[schema]: task #3: `nprocs` must be a positive integer",
         ),
-        ("missing-func", "tasks:\n  - nprocs: 2\n  - func: 3\n", "error[schema]: task #0 is missing the required `func` field\nerror[schema]: task #1 is missing the required `func` field\nerror[schema]: configuration defines no valid tasks"),
+        ("missing-func", "tasks:\n  - nprocs: 2\n  - func: 3\n", "error[schema]: task #0 is missing the required `func` field\nerror[schema]: task #1: `func` must be a string, found int\nerror[schema]: configuration defines no valid tasks"),
         (
             "ports-not-sequences",
             "tasks:\n  - func: p\n    inports: x\n    outports: {filename: f}\n",
@@ -122,12 +122,12 @@ fn wilkins_reports_match_their_pins() {
         (
             "port-entries",
             "tasks:\n  - func: p\n    outports:\n      - f.h5\n      - filename: 3\n        func: p\n        path: /x\n        dsets: x\n      - dsets: []\n",
-            "error[schema]: task #0: `outports` entries must be mappings\nerror[misplaced-field]: task #0: port field `func` does not belong in `outports`\nerror[unknown-field]: task #0: port field `path` does not belong in `outports`\nerror[schema]: task #0: `dsets` must be a sequence\nwarning[schema]: task #0: `outports` entry has no `filename`\nwarning[schema]: task #0: `outports` entry has no `filename`",
+            "error[schema]: task #0: `outports` entries must be mappings\nerror[misplaced-field]: task #0: port field `func` does not belong in `outports`\nerror[unknown-field]: task #0: port field `path` does not belong in `outports`\nerror[schema]: task #0: `dsets` must be a sequence\nwarning[schema]: task #0: `outports` entry's `filename` must be a string, found int\nwarning[schema]: task #0: `outports` entry has no `filename`",
         ),
         (
             "dset-entries",
             "tasks:\n  - func: p\n    inports:\n      - filename: f.h5\n        dsets:\n          - just-a-name\n          - name: /g/a\n            file: 1\n            memory: 0\n            shape: [2]\n          - file: true\n          - name: /g/b\n            file: yes\n            memory: 7\n",
-            "error[unknown-field]: task #0: dset field `shape` does not exist in Wilkins\nerror[schema]: task #0: dset entry missing `name`",
+            "error[schema]: task #0: `dsets` entries must be mappings, found string\nerror[unknown-field]: task #0: dset field `shape` does not exist in Wilkins\nerror[schema]: task #0: dset entry missing `name`",
         ),
     ]);
     check(&cases, |source| WilkinsConfig::parse(source).1);
@@ -165,12 +165,12 @@ fn adios2_reports_match_their_pins() {
         (
             "engine-forms",
             "- IO: A\n  Engine:\n    Type: SST\n    QueueLimit: 1\n    Turbo: on\n- IO: B\n  Engine: BP5\n- IO: C\n  Engine: 7\n- IO: D\n  Engine:\n    QueueLimit: 2\n- IO: E\n  Engine:\n    Type: FastStream\n- Engine:\n    Type: SST\n    Mystery: 1\n  IO: F\n",
-            "warning[unknown-parameter]: IO `A`: engine parameter `Turbo` is not a common ADIOS2 parameter\nwarning[schema]: IO `C` does not set an engine type; BPFile is assumed\nwarning[schema]: IO `D` does not set an engine type; BPFile is assumed\nerror[unknown-engine]: IO `E` uses engine `FastStream` which ADIOS2 does not provide\nwarning[unknown-parameter]: IO ``: engine parameter `Mystery` is not a common ADIOS2 parameter",
+            "warning[unknown-parameter]: IO `A`: engine parameter `Turbo` is not a common ADIOS2 parameter\nwarning[schema]: IO `C` does not set an engine type; BPFile is assumed\nwarning[schema]: IO `D` does not set an engine type; BPFile is assumed\nerror[unknown-engine]: IO `E` uses engine `FastStream` which ADIOS2 does not provide\nwarning[unknown-parameter]: IO `F`: engine parameter `Mystery` is not a common ADIOS2 parameter",
         ),
         (
             "variables-forms",
             "- IO: W\n  Engine: SST\n  Variables:\n    - grid\n    - Variable: particles\n      Shape: [2]\n    - Shape: [3]\n    - 4\n- IO: X\n  Engine: SST\n  Variables: grid\n",
-            "valid (no findings)",
+            "error[schema]: IO definition #0: `Variables` entry #2 is neither a name nor a mapping with a `Variable` name\nerror[schema]: IO definition #0: `Variables` entry #3 is neither a name nor a mapping with a `Variable` name\nerror[schema]: IO definition #1: `Variables` must be a sequence, found string",
         ),
         (
             "io-fields",
@@ -185,8 +185,9 @@ fn adios2_reports_match_their_pins() {
 
 #[test]
 fn parsed_values_behind_the_quiet_cases_are_pinned_too() {
-    // ADIOS2 `Variables` and Wilkins dset flags leave no diagnostic when
-    // they are malformed; what they parse to is the only trace.
+    // Wilkins dset flags leave no diagnostic when they are malformed, and
+    // malformed ADIOS2 `Variables` entries are dropped after theirs; what
+    // they parse to is pinned here.
     let (config, _) = Adios2Config::parse(
         "- IO: W\n  Engine: SST\n  Variables:\n    - grid\n    - Variable: particles\n      Shape: [2]\n    - Shape: [3]\n    - 4\n- IO: X\n  Engine: {Type: BP5}\n  Variables: grid\n",
     );
