@@ -7,35 +7,25 @@
 //! compared against the reference ([`wfspeak_codemodel::compare_calls`] —
 //! missing / extra / hallucinated calls), and only then are BLEU and ChrF
 //! computed.  This module chains those stages behind one implementation,
-//! [`evaluate_prepared`], that every surface shares:
+//! [`evaluate_prepared`], that both surfaces share:
 //!
-//! * [`EvalPipeline`] — standalone pipeline with its own scorers and shared
-//!   [`ReferenceCache`], for callers that bring their own responses;
 //! * [`Benchmark::run_evaluation`] — the pipeline over a whole experiment
-//!   grid, sharded across the worker pool ([`crate::parallel::par_map`])
-//!   with the benchmark's shared reference cache;
+//!   grid, run by the benchmark's one grid loop with its shared
+//!   [`ReferenceCache`](crate::ReferenceCache);
 //! * the scoring service's `evaluate` request (in `wfspeak-service`) calls
 //!   [`evaluate_prepared`] directly, so served evaluations are bit-identical
 //!   to in-process ones.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use wfspeak_codemodel::{compare_calls, extract_code, CallComparison, Language};
-use wfspeak_corpus::prompts::{
-    annotation_prompt, configuration_prompt, translation_prompt, PromptVariant,
-};
-use wfspeak_corpus::references::{
-    annotation_reference, configuration_reference, translation_reference,
-};
-use wfspeak_corpus::{translation_pair_label, translation_pairs, WorkflowSystemId};
-use wfspeak_llm::{CompletionRequest, LlmClient, SamplingParams};
+use wfspeak_corpus::prompts::PromptVariant;
+use wfspeak_corpus::WorkflowSystemId;
 use wfspeak_metrics::{BleuScorer, ChrfScorer, Scorer};
 use wfspeak_systems::api::catalog_for;
 
 use crate::experiments::ExperimentKind;
-use crate::parallel::par_map;
-use crate::runner::{Benchmark, PreparedPair, ReferenceCache};
+use crate::runner::{Benchmark, GridCell, PreparedPair};
 
 /// What the call-comparison stage needs to know about a workflow system:
 /// the task-code language plus the system's API family and catalogue.
@@ -96,11 +86,13 @@ pub struct Evaluation {
 
 /// Run one response through the full pipeline against a prepared reference.
 ///
-/// This is the *only* pipeline implementation: the standalone
-/// [`EvalPipeline`], the grid evaluator ([`Benchmark::run_evaluation`]) and
-/// the scoring service all call it, so their results are bit-identical to
-/// composing `extract_code` + `compare_calls` + `score_prepared` by hand
-/// (pinned by the workspace integration tests).
+/// This is the *only* pipeline implementation: the grid evaluator
+/// ([`Benchmark::run_evaluation`]) and the scoring service both call it, so
+/// their results are bit-identical to composing `extract_code` +
+/// `compare_calls` + `score_prepared` by hand (pinned by the workspace
+/// integration tests). The scoring grid ([`Benchmark::run_experiment`])
+/// computes the same BLEU and ChrF without the call comparison;
+/// `tests/table_grids.rs` pins that the two grids agree bit for bit.
 pub fn evaluate_prepared(
     bleu: &BleuScorer,
     chrf: &ChrfScorer,
@@ -124,73 +116,10 @@ pub fn evaluate_prepared(
     }
 }
 
-/// A standalone evaluation pipeline: scorers plus a shared
-/// [`ReferenceCache`], for evaluating caller-supplied responses outside a
-/// [`Benchmark`] grid.
-#[derive(Debug, Default)]
-pub struct EvalPipeline {
-    bleu: BleuScorer,
-    chrf: ChrfScorer,
-    references: ReferenceCache,
-}
-
-impl EvalPipeline {
-    /// A pipeline with default scorers and an empty cache.
-    pub fn new() -> EvalPipeline {
-        EvalPipeline::default()
-    }
-
-    /// The shared prepared-reference cache.
-    pub fn reference_cache(&self) -> &ReferenceCache {
-        &self.references
-    }
-
-    /// Fetch (or prepare on first use) the prepared pair for `reference`.
-    pub fn prepare(&self, reference: &str) -> Arc<PreparedPair> {
-        self.references
-            .get_or_prepare(&self.bleu, &self.chrf, reference)
-    }
-
-    /// Evaluate one response against `reference` for `profile`'s system.
-    pub fn evaluate(&self, reference: &str, profile: &SystemProfile, response: &str) -> Evaluation {
-        let prepared = self.prepare(reference);
-        evaluate_prepared(&self.bleu, &self.chrf, &prepared, profile, response)
-    }
-
-    /// Evaluate a batch of responses against one reference, in order.
-    pub fn evaluate_batch(
-        &self,
-        reference: &str,
-        profile: &SystemProfile,
-        responses: &[String],
-    ) -> Vec<Evaluation> {
-        let prepared = self.prepare(reference);
-        responses
-            .iter()
-            .map(|response| evaluate_prepared(&self.bleu, &self.chrf, &prepared, profile, response))
-            .collect()
-    }
-}
-
 /// One fully evaluated grid cell: every trial of one `(row, model)` pair.
-#[derive(Debug, Clone)]
-pub struct EvaluatedCell {
-    /// Row label (system name, or `"A to B"` for translation pairs).
-    pub row: String,
-    /// Model display name.
-    pub model: String,
-    /// Per-trial evaluations, in seed order.
-    pub trials: Vec<Evaluation>,
-}
+pub type EvaluatedCell = GridCell<Evaluation>;
 
 impl EvaluatedCell {
-    fn mean(&self, f: impl Fn(&Evaluation) -> f64) -> f64 {
-        if self.trials.is_empty() {
-            return 0.0;
-        }
-        self.trials.iter().map(f).sum::<f64>() / self.trials.len() as f64
-    }
-
     /// Mean BLEU over the cell's trials.
     pub fn mean_bleu(&self) -> f64 {
         self.mean(|e| e.bleu)
@@ -319,135 +248,30 @@ impl EvaluationGrid {
     }
 }
 
-/// One grid cell's evaluation work: a client queried with one prompt, every
-/// trial response taken through the full pipeline.
-struct EvalCellJob<'a> {
-    row: String,
-    model: String,
-    client: &'a dyn LlmClient,
-    prompt: String,
-    prepared: Arc<PreparedPair>,
-    profile: Arc<SystemProfile>,
-}
-
 impl Benchmark {
-    /// The `(row, reference, prompt, profile)` tuples of one experiment, in
-    /// the paper's declared row order.  The profiled system is the one whose
-    /// API surface the generated code must use (for translation, the
-    /// *target* system).
-    fn evaluation_rows(
-        &self,
-        kind: ExperimentKind,
-        variant: PromptVariant,
-    ) -> Vec<(String, &'static str, String, Arc<SystemProfile>)> {
-        match kind {
-            ExperimentKind::Configuration => WorkflowSystemId::configuration_systems()
-                .into_iter()
-                .map(|system| {
-                    let reference = configuration_reference(system)
-                        .expect("configuration systems always have a reference");
-                    (
-                        system.name().to_owned(),
-                        reference,
-                        configuration_prompt(system, variant),
-                        Arc::new(SystemProfile::for_system(system)),
-                    )
-                })
-                .collect(),
-            ExperimentKind::Annotation => WorkflowSystemId::annotation_systems()
-                .into_iter()
-                .map(|system| {
-                    let reference = annotation_reference(system)
-                        .expect("annotation systems always have a reference");
-                    (
-                        system.name().to_owned(),
-                        reference,
-                        annotation_prompt(system, variant),
-                        Arc::new(SystemProfile::for_system(system)),
-                    )
-                })
-                .collect(),
-            ExperimentKind::Translation => translation_pairs()
-                .into_iter()
-                .map(|(source, target)| {
-                    let reference = translation_reference(target)
-                        .expect("translation targets always have a reference");
-                    (
-                        translation_pair_label(source, target),
-                        reference,
-                        translation_prompt(source, target, variant),
-                        Arc::new(SystemProfile::for_system(target)),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Run one evaluation cell: query the client once per trial and take
-    /// every response through the full pipeline.
-    fn evaluate_cell(&self, job: &EvalCellJob<'_>) -> Vec<Evaluation> {
-        self.config
-            .trial_seeds()
-            .into_iter()
-            .map(|seed| {
-                let params = SamplingParams {
-                    temperature: self.config.temperature,
-                    top_p: self.config.top_p,
-                    seed,
-                };
-                let response = job
-                    .client
-                    .complete(&CompletionRequest::new(job.prompt.clone(), params));
-                evaluate_prepared(
-                    &self.bleu,
-                    &self.chrf,
-                    &job.prepared,
-                    &job.profile,
-                    &response.text,
-                )
-            })
-            .collect()
-    }
-
     /// Take a whole experiment grid through the evaluation pipeline:
-    /// extraction, API-call comparison and BLEU/ChrF for every
-    /// `(row × model × trial)` response.
+    /// [`evaluate_prepared`] on every `(row × model × trial)` response.
     ///
-    /// Cells are evaluated in parallel on the worker pool
-    /// ([`crate::parallel::par_map`]) while the result preserves declared
-    /// order (row-major, model-minor, trials in seed order), and references
-    /// are prepared once through the benchmark's shared [`ReferenceCache`] —
-    /// the same cache the scoring grid uses.
+    /// The benchmark's grid loop runs the cells in parallel and keeps
+    /// declared order (row-major, model-minor, trials in seed order). Each
+    /// row's reference is looked up once in the benchmark's shared
+    /// [`ReferenceCache`](crate::ReferenceCache), the cache the scoring grid
+    /// uses, and checked against the API catalogue of the row's system (for
+    /// translation, the target).
     pub fn run_evaluation(&self, kind: ExperimentKind, variant: PromptVariant) -> EvaluationGrid {
-        let mut jobs = Vec::new();
-        for (row, reference, prompt, profile) in self.evaluation_rows(kind, variant) {
-            let prepared = self
-                .references
-                .get_or_prepare(&self.bleu, &self.chrf, reference);
-            for client in &self.clients {
-                jobs.push(EvalCellJob {
-                    row: row.clone(),
-                    model: client.model().name().to_owned(),
-                    client: client.as_ref(),
-                    prompt: prompt.clone(),
-                    prepared: Arc::clone(&prepared),
-                    profile: Arc::clone(&profile),
-                });
-            }
-        }
-        let evaluated = par_map(&jobs, |job| self.evaluate_cell(job));
-        EvaluationGrid {
-            kind,
-            cells: jobs
-                .into_iter()
-                .zip(evaluated)
-                .map(|(job, trials)| EvaluatedCell {
-                    row: job.row,
-                    model: job.model,
-                    trials,
-                })
-                .collect(),
-        }
+        let cells = self.run_cells(
+            &kind.rows(variant),
+            |row| {
+                (
+                    self.prepare(row.reference),
+                    SystemProfile::for_system(row.system),
+                )
+            },
+            |(prepared, profile), response| {
+                evaluate_prepared(&self.bleu, &self.chrf, prepared, profile, response)
+            },
+        );
+        EvaluationGrid { kind, cells }
     }
 }
 
@@ -477,14 +301,23 @@ mod tests {
         assert!(SystemProfile::by_name("slurm").is_none());
     }
 
+    /// Take one response through the pipeline against `reference`.
+    fn evaluate(reference: &str, profile: &SystemProfile, response: &str) -> Evaluation {
+        let (bleu, chrf) = (BleuScorer::default(), ChrfScorer::default());
+        let prepared = PreparedPair {
+            bleu: bleu.prepare(reference),
+            chrf: chrf.prepare(reference),
+        };
+        evaluate_prepared(&bleu, &chrf, &prepared, profile, response)
+    }
+
     #[test]
     fn pipeline_detects_hallucinated_calls_in_fenced_response() {
-        let pipeline = EvalPipeline::new();
         let profile = SystemProfile::for_system(WorkflowSystemId::Henson);
         let reference = "henson_save_int(\"t\", t);\nhenson_yield();";
         let response =
             "Here is the annotated code:\n```c\nhenson_put(\"t\", t);\nhenson_yield();\n```";
-        let evaluation = pipeline.evaluate(reference, &profile, response);
+        let evaluation = evaluate(reference, &profile, response);
         assert!(evaluation.code.starts_with("henson_put"));
         assert_eq!(evaluation.calls.hallucinated, vec!["henson_put".to_owned()]);
         assert!(evaluation.calls.missing.contains(&"henson_save_int".into()));
@@ -494,11 +327,10 @@ mod tests {
 
     #[test]
     fn pipeline_matches_direct_stage_composition() {
-        let pipeline = EvalPipeline::new();
         let profile = SystemProfile::for_system(WorkflowSystemId::PyCompss);
         let reference = "compss_wait_on_file(out)\nprocess(out)";
         let response = "```python\ncompss_wait_on(out)\nprocess(out)\n```";
-        let evaluation = pipeline.evaluate(reference, &profile, response);
+        let evaluation = evaluate(reference, &profile, response);
 
         let code = extract_code(response);
         let bleu = BleuScorer::default();
@@ -522,17 +354,6 @@ mod tests {
                 profile.functions()
             )
         );
-    }
-
-    #[test]
-    fn pipeline_shares_reference_preparations() {
-        let pipeline = EvalPipeline::new();
-        let profile = SystemProfile::for_system(WorkflowSystemId::Henson);
-        pipeline.evaluate_batch("ref", &profile, &["a".into(), "b".into()]);
-        pipeline.evaluate("ref", &profile, "c");
-        let stats = pipeline.reference_cache().stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1, "batch prepares once, evaluate hits");
     }
 
     #[test]

@@ -28,24 +28,22 @@
 //!
 //! Every surface funnels through [`execute_artifact`]: the standalone
 //! [`ExecutionPipeline`] (callers bring their own responses; reference runs
-//! are cached and shared), [`Benchmark::run_execution`] (whole experiment
-//! grids sharded over [`crate::parallel::par_map`] with deterministic
-//! aggregation) and the scoring service's `mode: "execute"` request — so
-//! served scores are bit-identical to composing the stages by hand.
+//! are cached and shared), [`Benchmark::run_execution`] (the execution grid,
+//! run by the benchmark's grid loop) and the scoring service's
+//! `mode: "execute"` request — so served scores are bit-identical to
+//! composing the stages by hand.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use wfspeak_codemodel::extract_code;
-use wfspeak_corpus::prompts::{execution_prompt, PromptVariant};
-use wfspeak_corpus::references::execution_reference;
+use wfspeak_corpus::prompts::PromptVariant;
 use wfspeak_corpus::WorkflowSystemId;
-use wfspeak_llm::{CompletionRequest, LlmClient, SamplingParams};
 use wfspeak_runtime::{Engine, EngineConfig, TraceSummary};
 use wfspeak_systems::{workflow_spec_from_config, Diagnostic, DiagnosticKind};
 
-use crate::parallel::par_map;
-use crate::runner::Benchmark;
+use crate::experiments::execution_rows;
+use crate::runner::{Benchmark, GridCell};
 
 /// Resource bounds for executing *untrusted generated* workflow specs.
 ///
@@ -347,9 +345,8 @@ impl ExecutionPipeline {
     }
 
     /// Never retain more than `max_entries` reference runs: beyond the cap,
-    /// unseen references are still resolved and scored but not cached.
-    /// Servers accepting arbitrary client-supplied `reference_text` use
-    /// this to bound memory, like the metrics cache's
+    /// unseen references are still resolved and scored but not cached,
+    /// like the metrics cache's
     /// [`get_or_prepare_bounded`](crate::ReferenceCache::get_or_prepare_bounded).
     pub fn with_cache_cap(mut self, max_entries: usize) -> ExecutionPipeline {
         self.max_cached_references = max_entries;
@@ -369,12 +366,11 @@ impl ExecutionPipeline {
             .len()
     }
 
-    /// Fetch (or produce on first use) the reference-run summary for a
-    /// reference artifact: parse it, require it to be fully valid, run it
-    /// under the sandbox and summarise the trace.
-    ///
-    /// Fails when the reference itself does not parse, validate or run —
-    /// the caller supplied something that is not an executable ground truth.
+    /// Fetch (or produce on first use, through
+    /// [`run_reference`](Self::run_reference), failing as it does) the
+    /// reference-run summary for a reference artifact. A new summary is
+    /// kept, keyed by system and text, unless the cache already holds its
+    /// cap of entries.
     pub fn reference_summary(
         &self,
         system: WorkflowSystemId,
@@ -389,6 +385,26 @@ impl ExecutionPipeline {
         {
             return Ok(Arc::clone(summary));
         }
+        let summary = Arc::new(self.run_reference(system, reference)?);
+        let mut references = self.references.lock().expect("reference cache poisoned");
+        if references.len() < self.max_cached_references {
+            references.insert(key, Arc::clone(&summary));
+        }
+        Ok(summary)
+    }
+
+    /// Produce the reference-run summary for a reference artifact without
+    /// the cache: parse it, require it to be fully valid, run it under the
+    /// sandbox and summarise the trace. The scoring service runs reference
+    /// text a client sends inline through here, so it is never kept.
+    ///
+    /// Fails when the reference itself does not parse, validate or run —
+    /// the caller supplied something that is not an executable ground truth.
+    pub fn run_reference(
+        &self,
+        system: WorkflowSystemId,
+        reference: &str,
+    ) -> Result<TraceSummary, String> {
         let (spec, report) = workflow_spec_from_config(system, reference);
         let spec = spec.filter(|_| report.is_valid()).ok_or_else(|| {
             format!(
@@ -413,12 +429,7 @@ impl ExecutionPipeline {
         let outcome = Engine::new(self.sandbox.engine_config())
             .run(&spec)
             .map_err(|e| format!("reference run refused: {e}"))?;
-        let summary = Arc::new(outcome.summary());
-        let mut references = self.references.lock().expect("reference cache poisoned");
-        if references.len() < self.max_cached_references {
-            references.insert(key, Arc::clone(&summary));
-        }
-        Ok(summary)
+        Ok(outcome.summary())
     }
 
     /// Execute one response against a reference artifact for `system`.
@@ -431,41 +442,12 @@ impl ExecutionPipeline {
         let summary = self.reference_summary(system, reference)?;
         Ok(execute_artifact(&self.sandbox, system, response, &summary))
     }
-
-    /// Execute a batch of responses against one reference, in order.
-    pub fn execute_batch(
-        &self,
-        system: WorkflowSystemId,
-        reference: &str,
-        responses: &[String],
-    ) -> Result<Vec<ExecutionScore>, String> {
-        let summary = self.reference_summary(system, reference)?;
-        Ok(responses
-            .iter()
-            .map(|response| execute_artifact(&self.sandbox, system, response, &summary))
-            .collect())
-    }
 }
 
 /// One fully executed grid cell: every trial of one `(system, model)` pair.
-#[derive(Debug, Clone)]
-pub struct ExecutedCell {
-    /// System row label.
-    pub row: String,
-    /// Model display name.
-    pub model: String,
-    /// Per-trial execution scores, in seed order.
-    pub trials: Vec<ExecutionScore>,
-}
+pub type ExecutedCell = GridCell<ExecutionScore>;
 
 impl ExecutedCell {
-    fn mean(&self, f: impl Fn(&ExecutionScore) -> f64) -> f64 {
-        if self.trials.is_empty() {
-            return 0.0;
-        }
-        self.trials.iter().map(f).sum::<f64>() / self.trials.len() as f64
-    }
-
     /// Mean runnability over the cell's trials.
     pub fn mean_runnability(&self) -> f64 {
         self.mean(|s| s.runnability)
@@ -655,85 +637,35 @@ impl ExecutionGrid {
     }
 }
 
-/// One grid cell's execution work.
-struct ExecCellJob<'a> {
-    row: String,
-    model: String,
-    client: &'a dyn LlmClient,
-    prompt: String,
-    system: WorkflowSystemId,
-    reference: Arc<TraceSummary>,
-}
-
 impl Benchmark {
     /// Take the full five-system grid through dynamic execution: every
-    /// `(system × model × trial)` response is parsed, run on the runtime
-    /// engine under the benchmark's sandbox and scored against the
-    /// reference artifact's run.
+    /// `(system × model × trial)` response goes through [`execute_artifact`]
+    /// under the benchmark's sandbox, scored against the reference
+    /// artifact's run.
     ///
     /// The configuration systems (Wilkins, ADIOS2, Henson) execute the
     /// responses to their configuration prompt; Parsl and PyCOMPSs execute
     /// the responses to their annotation prompt, since their workflow
     /// structure lives in annotated task code rather than a configuration
-    /// file (see [`execution_prompt`] / [`execution_reference`]).  Cells
-    /// are executed in parallel on the worker pool
-    /// ([`crate::parallel::par_map`]) while the result preserves declared
-    /// order (system-major, model-minor, trials in seed order), and each
-    /// system's reference run happens once through the benchmark's shared
-    /// [`ExecutionPipeline`].
+    /// file (see `execution_rows`).  The benchmark's grid loop runs the
+    /// cells in parallel and keeps declared order (system-major,
+    /// model-minor, trials in seed order), and each system's reference run
+    /// is resolved once per call through the benchmark's shared
+    /// [`ExecutionPipeline`], which keeps it for later calls.
     pub fn run_execution(&self, variant: PromptVariant) -> ExecutionGrid {
-        let mut jobs = Vec::new();
-        for system in WorkflowSystemId::execution_systems() {
-            let reference = execution_reference(system);
-            let summary = self
-                .executions
-                .reference_summary(system, reference)
-                .expect("reference artifacts are executable");
-            let prompt = execution_prompt(system, variant);
-            for client in &self.clients {
-                jobs.push(ExecCellJob {
-                    row: system.name().to_owned(),
-                    model: client.model().name().to_owned(),
-                    client: client.as_ref(),
-                    prompt: prompt.clone(),
-                    system,
-                    reference: Arc::clone(&summary),
-                });
-            }
-        }
-        let executed = par_map(&jobs, |job| {
-            self.config
-                .trial_seeds()
-                .into_iter()
-                .map(|seed| {
-                    let params = SamplingParams {
-                        temperature: self.config.temperature,
-                        top_p: self.config.top_p,
-                        seed,
-                    };
-                    let response = job
-                        .client
-                        .complete(&CompletionRequest::new(job.prompt.clone(), params));
-                    execute_artifact(
-                        self.executions.sandbox(),
-                        job.system,
-                        &response.text,
-                        &job.reference,
-                    )
-                })
-                .collect::<Vec<_>>()
-        });
-        ExecutionGrid {
-            cells: jobs
-                .into_iter()
-                .zip(executed)
-                .map(|(job, trials)| ExecutedCell {
-                    row: job.row,
-                    model: job.model,
-                    trials,
-                })
-                .collect(),
-        }
+        let sandbox = self.executions.sandbox();
+        let cells = self.run_cells(
+            &execution_rows(variant),
+            |row| {
+                let summary = self
+                    .executions
+                    .reference_summary(row.system, row.reference)
+                    .expect("reference artifacts are executable");
+                (row.system, summary)
+            },
+            |(system, summary), response| execute_artifact(sandbox, *system, response, summary),
+        );
+        ExecutionGrid { cells }
     }
 }
 
@@ -742,7 +674,7 @@ mod tests {
     use super::*;
     use crate::config::BenchmarkConfig;
     use wfspeak_corpus::references::configs::WILKINS_3NODE;
-    use wfspeak_corpus::references::configuration_reference;
+    use wfspeak_corpus::references::{configuration_reference, execution_reference};
 
     fn quick_benchmark() -> Benchmark {
         Benchmark::with_simulated_models(BenchmarkConfig {
@@ -860,13 +792,11 @@ mod tests {
     fn reference_summaries_are_cached_per_system_and_text() {
         let pipeline = ExecutionPipeline::new();
         let reference = configuration_reference(WorkflowSystemId::Wilkins).unwrap();
-        pipeline
-            .execute_batch(
-                WorkflowSystemId::Wilkins,
-                reference,
-                &["a".into(), "b".into()],
-            )
-            .unwrap();
+        for response in ["a", "b"] {
+            pipeline
+                .execute(WorkflowSystemId::Wilkins, reference, response)
+                .unwrap();
+        }
         assert_eq!(pipeline.cached_references(), 1);
         pipeline
             .execute(WorkflowSystemId::Wilkins, reference, "c")

@@ -1,12 +1,17 @@
-//! Experiment definitions: which cells each of the paper's experiments
-//! contains and the composite result types for the prompt-sensitivity and
-//! few-shot studies.
+//! Experiment definitions: the rows of each of the paper's experiments
+//! (and of the execution grid) and the composite result types for the
+//! prompt-sensitivity and few-shot studies.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use wfspeak_corpus::prompts::PromptVariant;
+use wfspeak_corpus::prompts::{
+    annotation_prompt, configuration_prompt, execution_prompt, translation_prompt, PromptVariant,
+};
+use wfspeak_corpus::references::{
+    annotation_reference, configuration_reference, execution_reference, translation_reference,
+};
 use wfspeak_corpus::{translation_pair_label, translation_pairs, WorkflowSystemId};
 use wfspeak_metrics::Summary;
 
@@ -49,22 +54,50 @@ impl ExperimentKind {
         }
     }
 
-    /// The row labels of this experiment's table, in paper order.
-    pub fn row_labels(&self) -> Vec<String> {
+    /// The rows of this experiment's table under one prompt variant, in
+    /// paper order.
+    pub(crate) fn rows(&self, variant: PromptVariant) -> Vec<ExperimentRow> {
+        let row = |label: String, system, reference: Option<&'static str>, prompt| ExperimentRow {
+            label,
+            system,
+            reference: reference.expect("every experiment row has a reference"),
+            prompt,
+        };
         match self {
             ExperimentKind::Configuration => WorkflowSystemId::configuration_systems()
                 .into_iter()
-                .map(|s| s.name().to_owned())
+                .map(|s| {
+                    let prompt = configuration_prompt(s, variant);
+                    row(s.name().to_owned(), s, configuration_reference(s), prompt)
+                })
                 .collect(),
             ExperimentKind::Annotation => WorkflowSystemId::annotation_systems()
                 .into_iter()
-                .map(|s| s.name().to_owned())
+                .map(|s| {
+                    let prompt = annotation_prompt(s, variant);
+                    row(s.name().to_owned(), s, annotation_reference(s), prompt)
+                })
                 .collect(),
             ExperimentKind::Translation => translation_pairs()
                 .into_iter()
-                .map(|(s, t)| translation_pair_label(s, t))
+                .map(|(source, target)| {
+                    row(
+                        translation_pair_label(source, target),
+                        target,
+                        translation_reference(target),
+                        translation_prompt(source, target, variant),
+                    )
+                })
                 .collect(),
         }
+    }
+
+    /// The row labels of this experiment's table, in paper order.
+    pub fn row_labels(&self) -> Vec<String> {
+        self.rows(PromptVariant::default())
+            .into_iter()
+            .map(|row| row.label)
+            .collect()
     }
 }
 
@@ -72,6 +105,37 @@ impl std::fmt::Display for ExperimentKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// The rows of the execution grid under one prompt variant: the three
+/// configuration systems run the responses to their configuration prompt,
+/// and Parsl and PyCOMPSs those to their annotation prompt, since their
+/// workflow structure lives in annotated task code.
+pub(crate) fn execution_rows(variant: PromptVariant) -> Vec<ExperimentRow> {
+    WorkflowSystemId::execution_systems()
+        .into_iter()
+        .map(|system| ExperimentRow {
+            label: system.name().to_owned(),
+            system,
+            reference: execution_reference(system),
+            prompt: execution_prompt(system, variant),
+        })
+        .collect()
+}
+
+/// One row of a grid: the prompt every model answers once per trial seed,
+/// and what the responses are scored against.
+#[derive(Debug)]
+pub(crate) struct ExperimentRow {
+    /// Row label: a system name, or `"A to B"` for a translation pair.
+    pub label: String,
+    /// The system the responses are scored against, whose reference and
+    /// API catalogue apply (for translation, the target).
+    pub system: WorkflowSystemId,
+    /// The ground-truth artifact.
+    pub reference: &'static str,
+    /// The prompt sent to every model.
+    pub prompt: String,
 }
 
 /// Result of the prompt-sensitivity study (Figure 1): one full experiment

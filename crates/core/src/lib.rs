@@ -48,15 +48,13 @@ pub mod result;
 pub mod runner;
 
 pub use config::BenchmarkConfig;
-pub use eval::{
-    evaluate_prepared, EvalPipeline, EvaluatedCell, Evaluation, EvaluationGrid, SystemProfile,
-};
+pub use eval::{evaluate_prepared, EvaluatedCell, Evaluation, EvaluationGrid, SystemProfile};
 pub use exec::{
     execute_artifact, ExecutedCell, ExecutionGrid, ExecutionPipeline, ExecutionScore, SandboxConfig,
 };
 pub use experiments::{ExperimentKind, FewShotComparison, PromptSensitivity};
 pub use result::ExperimentResult;
-pub use runner::{Benchmark, PreparedPair, ReferenceCache};
+pub use runner::{Benchmark, GridCell, PreparedPair, ReferenceCache};
 
 pub use wfspeak_corpus::prompts::PromptVariant;
 pub use wfspeak_corpus::WorkflowSystemId;

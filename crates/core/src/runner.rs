@@ -7,11 +7,12 @@
 //! * a [`ReferenceCache`] that prepares (tokenises, interns and counts) each
 //!   ground-truth reference **once** per benchmark and shares the prepared
 //!   data across every cell, trial and prompt variant scored against it;
-//! * a parallel grid: the `(system row × model)` cells of an experiment are
-//!   scored on scoped threads ([`crate::parallel::par_map`]) while
-//!   aggregation into [`ExperimentResult`] happens afterwards in declared
-//!   row/column/trial order, so results are deterministic regardless of
-//!   scheduling.
+//! * one grid loop behind every experiment: the `(row × model)` cells of
+//!   a grid run on scoped threads ([`crate::parallel::par_map`]) and come
+//!   back in declared row/column/trial order, so results are deterministic
+//!   regardless of scheduling. The scoring tables, the evaluation and
+//!   execution grids and the configuration corpus differ only in what they
+//!   resolve per row and what they do with each response.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -20,19 +21,14 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use wfspeak_codemodel::extract_code;
-use wfspeak_corpus::prompts::{
-    annotation_prompt, configuration_prompt, translation_prompt, PromptVariant,
-};
-use wfspeak_corpus::references::{
-    annotation_reference, configuration_reference, translation_reference,
-};
-use wfspeak_corpus::{fewshot, translation_pair_label, translation_pairs, WorkflowSystemId};
+use wfspeak_corpus::fewshot;
+use wfspeak_corpus::prompts::PromptVariant;
 use wfspeak_llm::{CompletionRequest, LlmClient, SamplingParams, SimulatedLlm};
 use wfspeak_metrics::{BleuScorer, CacheStats, ChrfScorer, PreparedReference, Scorer};
 
 use crate::config::BenchmarkConfig;
 use crate::exec::ExecutionPipeline;
-use crate::experiments::{ExperimentKind, FewShotComparison, PromptSensitivity};
+use crate::experiments::{ExperimentKind, ExperimentRow, FewShotComparison, PromptSensitivity};
 use crate::parallel::par_map;
 use crate::result::ExperimentResult;
 
@@ -311,14 +307,25 @@ impl ReferenceCache {
     }
 }
 
-/// One grid cell's work: a client queried with one prompt, scored against
-/// one prepared reference over all trials.
-struct CellJob<'a> {
-    row: String,
-    model: String,
-    client: &'a dyn LlmClient,
-    prompt: String,
-    prepared: Arc<PreparedPair>,
+/// One grid cell: every trial of one `(row, model)` pair.
+#[derive(Debug, Clone)]
+pub struct GridCell<T> {
+    /// Row label (system name, or `"A to B"` for translation pairs).
+    pub row: String,
+    /// Model display name.
+    pub model: String,
+    /// Per-trial results, in seed order.
+    pub trials: Vec<T>,
+}
+
+impl<T> GridCell<T> {
+    /// Mean of `f` over the cell's trials; 0 for a cell without trials.
+    pub(crate) fn mean(&self, f: impl Fn(&T) -> f64) -> f64 {
+        if self.trials.is_empty() {
+            return 0.0;
+        }
+        self.trials.iter().map(f).sum::<f64>() / self.trials.len() as f64
+    }
 }
 
 /// The benchmark: a set of models plus the run configuration.
@@ -376,6 +383,87 @@ impl Benchmark {
         kind.row_labels().len() * self.clients.len()
     }
 
+    /// The prepared pair for `reference`, through the shared cache.
+    pub(crate) fn prepare(&self, reference: &str) -> Arc<PreparedPair> {
+        self.references
+            .get_or_prepare(&self.bleu, &self.chrf, reference)
+    }
+
+    /// The one grid loop: every row's prompt goes to every client once
+    /// per trial seed, and `respond` turns each response into a trial.
+    ///
+    /// `resolve` runs once per row, in row order, before any client is
+    /// asked (a cache lookup, a profile or a reference run), and `respond`
+    /// gets its result with each response. The `(row × client)` cells run
+    /// on [`par_map`], and come back in declared order (row-major,
+    /// model-minor, trials in seed order) however they were scheduled.
+    pub(crate) fn run_cells<R, T>(
+        &self,
+        rows: &[ExperimentRow],
+        resolve: impl FnMut(&ExperimentRow) -> R,
+        respond: impl Fn(&R, &str) -> T + Sync,
+    ) -> Vec<GridCell<T>>
+    where
+        R: Sync,
+        T: Send,
+    {
+        let resolved: Vec<R> = rows.iter().map(resolve).collect();
+        let jobs: Vec<(usize, &dyn LlmClient)> = (0..rows.len())
+            .flat_map(|row| {
+                self.clients
+                    .iter()
+                    .map(move |client| (row, client.as_ref()))
+            })
+            .collect();
+        let trials = par_map(&jobs, |&(row, client)| {
+            self.config
+                .trial_seeds()
+                .into_iter()
+                .map(|seed| {
+                    let params = SamplingParams {
+                        temperature: self.config.temperature,
+                        top_p: self.config.top_p,
+                        seed,
+                    };
+                    let request = CompletionRequest::new(rows[row].prompt.as_str(), params);
+                    respond(&resolved[row], &client.complete(&request).text)
+                })
+                .collect()
+        });
+        jobs.into_iter()
+            .zip(trials)
+            .map(|((row, client), trials)| GridCell {
+                row: rows[row].label.clone(),
+                model: client.model().name().to_owned(),
+                trials,
+            })
+            .collect()
+    }
+
+    /// Score every response of `rows` with BLEU and ChrF of its code
+    /// payload against the row's reference.
+    fn score_rows(&self, rows: &[ExperimentRow]) -> ExperimentResult {
+        let cells = self.run_cells(
+            rows,
+            |row| self.prepare(row.reference),
+            |prepared, response| {
+                let code = extract_code(response);
+                (
+                    self.bleu.score_prepared(&code, &prepared.bleu),
+                    self.chrf.score_prepared(&code, &prepared.chrf),
+                )
+            },
+        );
+        let labels: Vec<String> = rows.iter().map(|row| row.label.clone()).collect();
+        let mut result = ExperimentResult::with_labels(&labels, &self.model_names());
+        for cell in cells {
+            for (bleu, chrf) in cell.trials {
+                result.push(&cell.row, &cell.model, bleu, chrf);
+            }
+        }
+        result
+    }
+
     /// The configuration-artifact corpus: every generated configuration
     /// response — code-extracted, exactly as the execution pipeline sees
     /// it — for the three configuration systems × all models × all trials
@@ -388,156 +476,41 @@ impl Benchmark {
     /// (`tests/golden_execute.rs`) pins how `wyaml::parse_document` takes
     /// it: 140 accepted, 40 rejected with `bad-indentation`.
     pub fn configuration_corpus(&self) -> Vec<String> {
-        let mut corpus = Vec::new();
-        for variant in &PromptVariant::ALL[..3] {
-            for system in WorkflowSystemId::configuration_systems() {
-                let prompt = configuration_prompt(system, *variant);
-                for client in &self.clients {
-                    for seed in self.config.trial_seeds() {
-                        let params = SamplingParams {
-                            temperature: self.config.temperature,
-                            top_p: self.config.top_p,
-                            seed,
-                        };
-                        let response =
-                            client.complete(&CompletionRequest::new(prompt.clone(), params));
-                        corpus.push(extract_code(&response.text));
-                    }
-                }
-            }
-        }
-        corpus
-    }
-
-    /// Run one `(prompt, reference)` cell for one client over all trials,
-    /// returning `(bleu, chrf)` per trial in seed order.  The reference
-    /// arrives pre-tokenised and pre-counted as a [`PreparedPair`], so each
-    /// trial only pays for scoring its own hypothesis.
-    fn run_cell(
-        &self,
-        client: &dyn LlmClient,
-        prompt: &str,
-        prepared: &PreparedPair,
-    ) -> Vec<(f64, f64)> {
-        self.config
-            .trial_seeds()
+        let rows: Vec<ExperimentRow> = PromptVariant::ALL[..3]
+            .iter()
+            .flat_map(|&variant| ExperimentKind::Configuration.rows(variant))
+            .collect();
+        self.run_cells(&rows, |_| (), |(), response| extract_code(response))
             .into_iter()
-            .map(|seed| {
-                let params = SamplingParams {
-                    temperature: self.config.temperature,
-                    top_p: self.config.top_p,
-                    seed,
-                };
-                let response = client.complete(&CompletionRequest::new(prompt.to_owned(), params));
-                let code = extract_code(&response.text);
-                let bleu = self.bleu.score_prepared(&code, &prepared.bleu);
-                let chrf = self.chrf.score_prepared(&code, &prepared.chrf);
-                (bleu, chrf)
-            })
+            .flat_map(|cell| cell.trials)
             .collect()
-    }
-
-    /// Score a list of cell jobs in parallel and aggregate deterministically:
-    /// jobs are scored on scoped threads, but pushed into the result in job
-    /// order (system-major, model-minor, trials in seed order) — exactly the
-    /// order the sequential seed implementation produced.
-    fn run_grid(&self, rows: &[String], jobs: Vec<CellJob<'_>>) -> ExperimentResult {
-        let mut result = ExperimentResult::with_labels(rows, &self.model_names());
-        let scored = par_map(&jobs, |job| {
-            self.run_cell(job.client, &job.prompt, &job.prepared)
-        });
-        for (job, trials) in jobs.iter().zip(scored) {
-            for (bleu, chrf) in trials {
-                result.push(&job.row, &job.model, bleu, chrf);
-            }
-        }
-        result
     }
 
     /// The workflow-configuration experiment (Table 1).  Set `few_shot` to
     /// augment the prompt with the 2-node exemplar (Table 5's second row).
     pub fn run_configuration(&self, variant: PromptVariant, few_shot: bool) -> ExperimentResult {
-        let rows = ExperimentKind::Configuration.row_labels();
-        let mut jobs = Vec::new();
-        for system in WorkflowSystemId::configuration_systems() {
-            let reference = configuration_reference(system)
-                .expect("configuration systems always have a reference");
-            let prepared = self
-                .references
-                .get_or_prepare(&self.bleu, &self.chrf, reference);
-            let mut prompt = configuration_prompt(system, variant);
-            if few_shot {
-                prompt = fewshot::augment_configuration_prompt(&prompt, system);
-            }
-            for client in &self.clients {
-                jobs.push(CellJob {
-                    row: system.name().to_owned(),
-                    model: client.model().name().to_owned(),
-                    client: client.as_ref(),
-                    prompt: prompt.clone(),
-                    prepared: Arc::clone(&prepared),
-                });
+        let mut rows = ExperimentKind::Configuration.rows(variant);
+        if few_shot {
+            for row in &mut rows {
+                row.prompt = fewshot::augment_configuration_prompt(&row.prompt, row.system);
             }
         }
-        self.run_grid(&rows, jobs)
+        self.score_rows(&rows)
     }
 
     /// The task-code-annotation experiment (Table 2).
     pub fn run_annotation(&self, variant: PromptVariant) -> ExperimentResult {
-        let rows = ExperimentKind::Annotation.row_labels();
-        let mut jobs = Vec::new();
-        for system in WorkflowSystemId::annotation_systems() {
-            let reference =
-                annotation_reference(system).expect("annotation systems always have a reference");
-            let prepared = self
-                .references
-                .get_or_prepare(&self.bleu, &self.chrf, reference);
-            let prompt = annotation_prompt(system, variant);
-            for client in &self.clients {
-                jobs.push(CellJob {
-                    row: system.name().to_owned(),
-                    model: client.model().name().to_owned(),
-                    client: client.as_ref(),
-                    prompt: prompt.clone(),
-                    prepared: Arc::clone(&prepared),
-                });
-            }
-        }
-        self.run_grid(&rows, jobs)
+        self.run_experiment(ExperimentKind::Annotation, variant)
     }
 
     /// The task-code-translation experiment (Table 3).
     pub fn run_translation(&self, variant: PromptVariant) -> ExperimentResult {
-        let rows = ExperimentKind::Translation.row_labels();
-        let mut jobs = Vec::new();
-        for (source, target) in translation_pairs() {
-            let reference =
-                translation_reference(target).expect("translation targets always have a reference");
-            let prepared = self
-                .references
-                .get_or_prepare(&self.bleu, &self.chrf, reference);
-            let prompt = translation_prompt(source, target, variant);
-            let row = translation_pair_label(source, target);
-            for client in &self.clients {
-                jobs.push(CellJob {
-                    row: row.clone(),
-                    model: client.model().name().to_owned(),
-                    client: client.as_ref(),
-                    prompt: prompt.clone(),
-                    prepared: Arc::clone(&prepared),
-                });
-            }
-        }
-        self.run_grid(&rows, jobs)
+        self.run_experiment(ExperimentKind::Translation, variant)
     }
 
     /// Run one experiment with one prompt variant.
     pub fn run_experiment(&self, kind: ExperimentKind, variant: PromptVariant) -> ExperimentResult {
-        match kind {
-            ExperimentKind::Configuration => self.run_configuration(variant, false),
-            ExperimentKind::Annotation => self.run_annotation(variant),
-            ExperimentKind::Translation => self.run_translation(variant),
-        }
+        self.score_rows(&kind.rows(variant))
     }
 
     /// The prompt-sensitivity study (Figure 1): every experiment under every
@@ -637,26 +610,44 @@ mod tests {
 
     #[test]
     fn parallel_grid_matches_sequential_cell_scoring() {
-        // Rebuild every cell of the parallel grid result sequentially through
-        // run_cell and compare the raw per-trial samples: the parallel path
-        // must change scheduling only, never values or their order.
+        // Score every cell of the parallel grid result again, one trial at
+        // a time on this thread, and compare the raw per-trial samples: the
+        // parallel path must change scheduling only, never values or their
+        // order.
         let benchmark = quick_benchmark();
         let result = benchmark.run_configuration(PromptVariant::Original, false);
-        for system in WorkflowSystemId::configuration_systems() {
-            let reference = configuration_reference(system).unwrap();
-            let prepared =
-                benchmark
-                    .references
-                    .get_or_prepare(&benchmark.bleu, &benchmark.chrf, reference);
-            let prompt = configuration_prompt(system, PromptVariant::Original);
+        for row in ExperimentKind::Configuration.rows(PromptVariant::Original) {
+            let prepared = benchmark.prepare(row.reference);
             for client in &benchmark.clients {
-                let trials = benchmark.run_cell(client.as_ref(), &prompt, &prepared);
-                let bleu_samples: Vec<f64> = trials.iter().map(|t| t.0).collect();
+                let (bleu, chrf): (Vec<f64>, Vec<f64>) = benchmark
+                    .config
+                    .trial_seeds()
+                    .into_iter()
+                    .map(|seed| {
+                        let params = SamplingParams {
+                            temperature: benchmark.config.temperature,
+                            top_p: benchmark.config.top_p,
+                            seed,
+                        };
+                        let response =
+                            client.complete(&CompletionRequest::new(row.prompt.as_str(), params));
+                        let code = extract_code(&response.text);
+                        (
+                            benchmark.bleu.score_prepared(&code, &prepared.bleu),
+                            benchmark.chrf.score_prepared(&code, &prepared.chrf),
+                        )
+                    })
+                    .unzip();
+                let model = client.model().name();
                 assert_eq!(
-                    result.bleu.samples(system.name(), client.model().name()),
-                    bleu_samples.as_slice(),
-                    "{system:?}/{}",
-                    client.model().name()
+                    result.bleu.samples(&row.label, model),
+                    bleu,
+                    "{row:?}/{model}"
+                );
+                assert_eq!(
+                    result.chrf.samples(&row.label, model),
+                    chrf,
+                    "{row:?}/{model}"
                 );
             }
         }

@@ -140,6 +140,10 @@ pub struct ServiceConfig {
     /// fixed budget ([`INLINE_BUDGET_BYTES`](wfspeak_core::runner::INLINE_BUDGET_BYTES),
     /// 4 MiB) that this cap does not change; once it is spent, further
     /// inline references are prepared per request and not kept.
+    ///
+    /// The cap also bounds the reference runs `execute` requests keep, but
+    /// only references the server resolves itself are kept there: an
+    /// inline execute reference is run for its request and dropped.
     pub max_cached_references: usize,
     /// How long a parked request waits for space in the bounded job queue
     /// before being shed with a typed `"overloaded"` error. Zero sheds
@@ -218,8 +222,6 @@ impl ServiceState {
             bleu: BleuScorer::default(),
             chrf: ChrfScorer::default(),
             cache: ReferenceCache::default(),
-            // The same cap bounds both caches: arbitrary client-supplied
-            // reference text must not grow server memory without limit.
             executor: ExecutionPipeline::default().with_cache_cap(config.max_cached_references),
             max_cached_references: config.max_cached_references,
             requests: AtomicU64::new(0),
@@ -310,7 +312,14 @@ impl ServiceState {
             };
             // Resolve the reference run first so a bad reference is a
             // failure (uncounted), matching every other addressing error.
-            let summary = match self.executor.reference_summary(system, reference) {
+            // Only the references the server resolves itself are kept;
+            // inline text is run for its request alone.
+            let summary = if request.reference_text.is_some() {
+                self.executor.run_reference(system, reference).map(Arc::new)
+            } else {
+                self.executor.reference_summary(system, reference)
+            };
+            let summary = match summary {
                 Ok(summary) => summary,
                 Err(message) => return ScoreResponse::failure(request.id, message),
             };
@@ -1595,6 +1604,23 @@ mod tests {
         assert!(state.handle(&request).ok);
         assert!(state.handle(&request).ok);
         assert_eq!(state.executor.cached_references(), 1);
+    }
+
+    #[test]
+    fn inline_execute_references_are_run_but_never_kept() {
+        use wfspeak_corpus::references::configuration_reference;
+
+        let state = ServiceState::new(&ServiceConfig::default()).unwrap();
+        let reference = configuration_reference(WorkflowSystemId::Wilkins).unwrap();
+        for i in 0..3 {
+            let inline = format!("{reference}\n# inline reference {i}\n");
+            let request = ScoreRequest::execute_text(i, &inline, "Wilkins", vec![inline.clone()]);
+            let response = state.handle(&request);
+            assert!(response.ok, "{:?}", response.error);
+            assert_eq!(response.executions[0].runnability, 100.0);
+            assert_eq!(response.executions[0].trace_fidelity, 100.0);
+        }
+        assert_eq!(state.executor.cached_references(), 0);
     }
 
     fn test_job(request: ScoreRequest) -> Job {

@@ -90,39 +90,46 @@ impl Adios2Config {
                 }
             };
             // The name is read first so that a warning about the engine
-            // names the IO wherever `IO` comes in the definition.
+            // names the IO wherever `IO` comes in the definition. `Err`
+            // holds the type of a name that is not a string.
+            let name = map.get("IO").map(|n| n.as_str().ok_or(n.type_name()));
             let mut io = Adios2Io {
-                name: map
-                    .get("IO")
-                    .and_then(Node::as_str)
-                    .unwrap_or_default()
-                    .to_owned(),
+                name: name.and_then(Result::ok).unwrap_or_default().to_owned(),
                 engine: String::new(),
                 variables: Vec::new(),
             };
+            // `Err` holds the field and the type of an engine type that is
+            // not a string.
+            let mut engine: Result<&str, (&str, &str)> = Ok("");
             for EntryRef {
                 key, node: value, ..
             } in map.iter()
             {
                 match key.as_ref() {
                     "IO" => {}
-                    "Engine" => {
-                        if let Some(engine_map) = value.as_map() {
+                    "Engine" => match value.as_map() {
+                        Some(engine_map) => {
                             for EntryRef {
                                 key: ek, node: ev, ..
                             } in engine_map.iter()
                             {
                                 if ek == "Type" {
-                                    io.engine = ev.as_str().unwrap_or_default().to_owned();
+                                    engine = ev
+                                        .as_str()
+                                        .ok_or(("engine `Type` must be a string", ev.type_name()));
                                 } else if !catalog.is_real_config_field(ek) {
                                     report.push(Diagnostic::warning(DiagnosticKind::UnknownParameter, format!("IO `{0}`: engine parameter `{ek}` is not a common ADIOS2 parameter", io.name),
                                     ));
                                 }
                             }
-                        } else if let Some(s) = value.as_str() {
-                            io.engine = s.to_owned();
                         }
-                    }
+                        None => {
+                            engine = value.as_str().ok_or((
+                                "`Engine` must be a string or a mapping",
+                                value.type_name(),
+                            ));
+                        }
+                    },
                     "Variables" => match value.as_seq() {
                         Some(vars) => {
                             for (v_idx, v) in vars.iter().enumerate() {
@@ -150,6 +157,13 @@ impl Adios2Config {
                     }
                 }
             }
+            if let Some(Err(found)) = name {
+                report.push(Diagnostic::error(
+                    DiagnosticKind::Schema,
+                    format!("IO definition #{idx}: `IO` must be a string, found {found}"),
+                ));
+                continue;
+            }
             if io.name.is_empty() {
                 report.push(Diagnostic::error(
                     DiagnosticKind::Schema,
@@ -157,7 +171,14 @@ impl Adios2Config {
                 ));
                 continue;
             }
-            if io.engine.is_empty() {
+            io.engine = engine.unwrap_or_default().to_owned();
+            if let Err((rule, found)) = engine {
+                report.push(Diagnostic::warning(
+                    DiagnosticKind::Schema,
+                    format!("IO `{}`: {rule}, found {found}; BPFile is assumed", io.name),
+                ));
+                io.engine = "BPFile".to_owned();
+            } else if io.engine.is_empty() {
                 report.push(Diagnostic::warning(
                     DiagnosticKind::Schema,
                     format!(

@@ -164,8 +164,8 @@ fn adios2_reports_match_their_pins() {
         ("io-entries-not-mappings", "- x\n- 3\n- [a]\n", "error[schema]: IO definition #0 must be a mapping\nerror[schema]: IO definition #1 must be a mapping\nerror[schema]: IO definition #2 must be a mapping\nerror[schema]: configuration defines no IO entries"),
         (
             "engine-forms",
-            "- IO: A\n  Engine:\n    Type: SST\n    QueueLimit: 1\n    Turbo: on\n- IO: B\n  Engine: BP5\n- IO: C\n  Engine: 7\n- IO: D\n  Engine:\n    QueueLimit: 2\n- IO: E\n  Engine:\n    Type: FastStream\n- Engine:\n    Type: SST\n    Mystery: 1\n  IO: F\n",
-            "warning[unknown-parameter]: IO `A`: engine parameter `Turbo` is not a common ADIOS2 parameter\nwarning[schema]: IO `C` does not set an engine type; BPFile is assumed\nwarning[schema]: IO `D` does not set an engine type; BPFile is assumed\nerror[unknown-engine]: IO `E` uses engine `FastStream` which ADIOS2 does not provide\nwarning[unknown-parameter]: IO `F`: engine parameter `Mystery` is not a common ADIOS2 parameter",
+            "- IO: A\n  Engine:\n    Type: SST\n    QueueLimit: 1\n    Turbo: on\n- IO: B\n  Engine: BP5\n- IO: C\n  Engine: 7\n- IO: D\n  Engine:\n    QueueLimit: 2\n- IO: E\n  Engine:\n    Type: FastStream\n- Engine:\n    Type: SST\n    Mystery: 1\n  IO: F\n- IO: G\n  Engine:\n    Type: 7\n",
+            "warning[unknown-parameter]: IO `A`: engine parameter `Turbo` is not a common ADIOS2 parameter\nwarning[schema]: IO `C`: `Engine` must be a string or a mapping, found int; BPFile is assumed\nwarning[schema]: IO `D` does not set an engine type; BPFile is assumed\nerror[unknown-engine]: IO `E` uses engine `FastStream` which ADIOS2 does not provide\nwarning[unknown-parameter]: IO `F`: engine parameter `Mystery` is not a common ADIOS2 parameter\nwarning[schema]: IO `G`: engine `Type` must be a string, found int; BPFile is assumed",
         ),
         (
             "variables-forms",
@@ -177,7 +177,7 @@ fn adios2_reports_match_their_pins() {
             "- IO: A\n  Engine: SST\n  Transports: []\n  Parameters: {}\n  Tasks:\n    - producer\n  \"Eng\\\"ine\": SST\n",
             "error[unknown-field]: IO definition #0: field `Tasks` does not exist in ADIOS2 configs\nerror[unknown-field]: IO definition #0: field `Eng\"ine` does not exist in ADIOS2 configs",
         ),
-        ("missing-io-name", "- Engine: SST\n- IO: 3\n  Engine: SST\n- IO: B\n", "error[schema]: IO definition #0 is missing the `IO` name\nerror[schema]: IO definition #1 is missing the `IO` name\nwarning[schema]: IO `B` does not set an engine type; BPFile is assumed"),
+        ("missing-io-name", "- Engine: SST\n- IO: 3\n  Engine: SST\n- IO: B\n", "error[schema]: IO definition #0 is missing the `IO` name\nerror[schema]: IO definition #1: `IO` must be a string, found int\nwarning[schema]: IO `B` does not set an engine type; BPFile is assumed"),
         ("empty-list", "[]\n", "error[schema]: configuration defines no IO entries"),
     ]);
     check(&cases, |source| Adios2Config::parse(source).1);
