@@ -25,7 +25,7 @@ use wfspeak_metrics::{BleuScorer, ChrfScorer, Scorer};
 use wfspeak_systems::api::catalog_for;
 
 use crate::experiments::ExperimentKind;
-use crate::runner::{Benchmark, GridCell, PreparedPair};
+use crate::runner::{grid_cell, grid_mean, grid_trials, Benchmark, GridCell, PreparedPair};
 
 /// What the call-comparison stage needs to know about a workflow system:
 /// the task-code language plus the system's API family and catalogue.
@@ -158,12 +158,12 @@ pub struct EvaluationGrid {
 impl EvaluationGrid {
     /// Look up one cell by row and model label.
     pub fn cell(&self, row: &str, model: &str) -> Option<&EvaluatedCell> {
-        self.cells.iter().find(|c| c.row == row && c.model == model)
+        grid_cell(&self.cells, row, model)
     }
 
     /// Total responses evaluated (cells × trials).
     pub fn total_evaluations(&self) -> usize {
-        self.cells.iter().map(|c| c.trials.len()).sum()
+        grid_trials(&self.cells)
     }
 
     /// Hallucinated call count across the whole grid.
@@ -181,32 +181,19 @@ impl EvaluationGrid {
             .collect()
     }
 
-    fn grid_mean(&self, f: impl Fn(&Evaluation) -> f64) -> f64 {
-        let n = self.total_evaluations();
-        if n == 0 {
-            return 0.0;
-        }
-        self.cells
-            .iter()
-            .flat_map(|c| &c.trials)
-            .map(f)
-            .sum::<f64>()
-            / n as f64
-    }
-
     /// Mean BLEU over every evaluation in the grid.
     pub fn mean_bleu(&self) -> f64 {
-        self.grid_mean(|e| e.bleu)
+        grid_mean(&self.cells, |e| e.bleu)
     }
 
     /// Mean ChrF over every evaluation in the grid.
     pub fn mean_chrf(&self) -> f64 {
-        self.grid_mean(|e| e.chrf)
+        grid_mean(&self.cells, |e| e.chrf)
     }
 
     /// Mean call recall over every evaluation in the grid.
     pub fn mean_call_recall(&self) -> f64 {
-        self.grid_mean(|e| e.calls.call_recall())
+        grid_mean(&self.cells, |e| e.calls.call_recall())
     }
 
     /// Render a fixed-width summary table: one line per cell with BLEU,

@@ -43,7 +43,7 @@ use wfspeak_runtime::{Engine, EngineConfig, TraceSummary};
 use wfspeak_systems::{workflow_spec_from_config, Diagnostic, DiagnosticKind};
 
 use crate::experiments::execution_rows;
-use crate::runner::{Benchmark, GridCell};
+use crate::runner::{grid_cell, grid_mean, grid_trials, Benchmark, GridCell};
 
 /// Resource bounds for executing *untrusted generated* workflow specs.
 ///
@@ -522,12 +522,12 @@ pub struct ExecutionGrid {
 impl ExecutionGrid {
     /// Look up one cell by row and model label.
     pub fn cell(&self, row: &str, model: &str) -> Option<&ExecutedCell> {
-        self.cells.iter().find(|c| c.row == row && c.model == model)
+        grid_cell(&self.cells, row, model)
     }
 
     /// Total responses executed (cells × trials).
     pub fn total_executions(&self) -> usize {
-        self.cells.iter().map(|c| c.trials.len()).sum()
+        grid_trials(&self.cells)
     }
 
     /// Responses that ran to completion across the whole grid.
@@ -535,27 +535,14 @@ impl ExecutionGrid {
         self.cells.iter().map(|c| c.completed_trials()).sum()
     }
 
-    fn grid_mean(&self, f: impl Fn(&ExecutionScore) -> f64) -> f64 {
-        let n = self.total_executions();
-        if n == 0 {
-            return 0.0;
-        }
-        self.cells
-            .iter()
-            .flat_map(|c| &c.trials)
-            .map(&f)
-            .sum::<f64>()
-            / n as f64
-    }
-
     /// Mean runnability over every execution in the grid.
     pub fn mean_runnability(&self) -> f64 {
-        self.grid_mean(|s| s.runnability)
+        grid_mean(&self.cells, |s| s.runnability)
     }
 
     /// Mean trace fidelity over every execution in the grid.
     pub fn mean_fidelity(&self) -> f64 {
-        self.grid_mean(|s| s.trace_fidelity)
+        grid_mean(&self.cells, |s| s.trace_fidelity)
     }
 
     /// Render a fixed-width summary table: one line per cell with

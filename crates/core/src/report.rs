@@ -12,7 +12,7 @@ use wfspeak_codemodel::extract_code;
 use wfspeak_corpus::prompts::{configuration_prompt, translation_prompt, PromptVariant};
 use wfspeak_corpus::{fewshot, WorkflowSystemId};
 use wfspeak_llm::{CompletionRequest, LlmClient, ModelId, SamplingParams, SimulatedLlm};
-use wfspeak_systems::{system_for, Severity};
+use wfspeak_systems::{validate_config, validate_task_code, Severity};
 
 use crate::config::BenchmarkConfig;
 use crate::experiments::{FewShotComparison, PromptSensitivity};
@@ -39,11 +39,10 @@ fn validate(
     artifact: &str,
     is_config: bool,
 ) -> (Vec<String>, Vec<String>) {
-    let system = system_for(sample_system);
     let report = if is_config {
-        system.validate_config(artifact)
+        validate_config(sample_system, artifact)
     } else {
-        system.validate_task_code(artifact)
+        validate_task_code(sample_system, artifact)
     };
     let errors = report
         .diagnostics

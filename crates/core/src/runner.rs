@@ -328,6 +328,29 @@ impl<T> GridCell<T> {
     }
 }
 
+/// The cell of `cells` for one row and model label.
+pub(crate) fn grid_cell<'a, T>(
+    cells: &'a [GridCell<T>],
+    row: &str,
+    model: &str,
+) -> Option<&'a GridCell<T>> {
+    cells.iter().find(|c| c.row == row && c.model == model)
+}
+
+/// Trials over every cell of `cells`.
+pub(crate) fn grid_trials<T>(cells: &[GridCell<T>]) -> usize {
+    cells.iter().map(|c| c.trials.len()).sum()
+}
+
+/// Mean of `f` over every trial of `cells`; 0 for a grid without trials.
+pub(crate) fn grid_mean<T>(cells: &[GridCell<T>], f: impl Fn(&T) -> f64) -> f64 {
+    let n = grid_trials(cells);
+    if n == 0 {
+        return 0.0;
+    }
+    cells.iter().flat_map(|c| &c.trials).map(f).sum::<f64>() / n as f64
+}
+
 /// The benchmark: a set of models plus the run configuration.
 pub struct Benchmark {
     pub(crate) clients: Vec<Box<dyn LlmClient>>,

@@ -763,7 +763,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use wfspeak_metrics::{bleu::BleuScorer, Scorer};
-    use wfspeak_systems::system_for;
+    use wfspeak_systems::{validate_config, validate_task_code};
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -814,7 +814,7 @@ mod tests {
         assert!(out.contains("command:"));
         assert!(out.contains("inputs:"));
         assert!(out.contains("dependencies:"));
-        let report = system_for(WorkflowSystemId::Wilkins).validate_config(&out);
+        let report = validate_config(WorkflowSystemId::Wilkins, &out);
         assert!(!report.is_valid());
     }
 
@@ -872,7 +872,7 @@ mod tests {
         );
         assert!(out.contains("henson_data_init"));
         assert!(out.contains("henson_yield"));
-        let report = system_for(WorkflowSystemId::Henson).validate_task_code(&out);
+        let report = validate_task_code(WorkflowSystemId::Henson, &out);
         assert!(report.has_code("hallucinated-call"));
     }
 
@@ -890,7 +890,7 @@ mod tests {
         assert!(out.contains("henson_put_var"));
         assert!(out.contains("henson_end_step"));
         assert!(!out.contains("adios2_begin_step"));
-        let report = system_for(WorkflowSystemId::Henson).validate_task_code(&out);
+        let report = validate_task_code(WorkflowSystemId::Henson, &out);
         assert!(report.has_code("hallucinated-call"));
     }
 

@@ -9,13 +9,11 @@
 //! fails too, at once — no run waits on a timeout.
 
 use std::collections::{BTreeMap, HashMap};
-use std::time::{Duration, Instant};
 
 use wfspeak_systems::spec::DataRole;
-use wfspeak_systems::wilkins::WilkinsConfig;
 use wfspeak_systems::WorkflowSpec;
 
-use crate::task::{rank_rng, Link, Output, TaskContext, TaskRole};
+use crate::task::{task_rng, Link, TaskContext, TaskRole};
 use crate::trace::{EventKind, ExecutionTrace};
 
 /// Engine tuning knobs.
@@ -47,15 +45,12 @@ impl Default for EngineConfig {
 pub enum EngineError {
     /// The workflow specification failed structural validation.
     InvalidSpec(String),
-    /// A Wilkins configuration could not be parsed.
-    InvalidConfig(String),
 }
 
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::InvalidSpec(msg) => write!(f, "invalid workflow spec: {msg}"),
-            EngineError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }
@@ -70,11 +65,9 @@ pub struct RunOutcome {
     pub completed: bool,
     /// Timesteps executed.
     pub timesteps: usize,
-    /// Wall-clock duration of the run.
-    pub duration: Duration,
     /// Per-consumer sums of the datasets received (task → sums in arrival
     /// order).
-    pub consumer_sums: HashMap<String, Vec<f64>>,
+    pub consumer_sums: BTreeMap<String, Vec<f64>>,
     /// Names of tasks that failed.
     pub failed_tasks: Vec<String>,
     /// The full event trace.
@@ -111,14 +104,13 @@ impl Engine {
         if let Some(diagnostic) = spec.validate().iter().find(|d| d.is_error()) {
             return Err(EngineError::InvalidSpec(diagnostic.to_string()));
         }
-        let start = Instant::now();
-        let trace = ExecutionTrace::new();
+        let mut trace = ExecutionTrace::default();
         let mut graph = Graph::build(spec);
         for task in &spec.tasks {
-            trace.record(&task.name, 0, EventKind::TaskStarted);
+            trace.record(&task.name, EventKind::TaskStarted);
         }
 
-        let mut consumer_sums = HashMap::new();
+        let mut consumer_sums = BTreeMap::new();
         for &index in &graph.order {
             let task = &spec.tasks[index];
             let mut ctx = TaskContext {
@@ -128,19 +120,21 @@ impl Engine {
                 inputs: std::mem::take(&mut graph.inputs[index]),
                 outputs: std::mem::take(&mut graph.outputs[index]),
                 links: &mut graph.links,
-                trace: &trace,
-                rng: rank_rng(self.config.seed, &task.name, 0),
+                trace: &mut trace,
+                rng: task_rng(self.config.seed, &task.name),
                 received_sums: Vec::new(),
                 fail_at_step: (self.config.fail_task.as_ref() == Some(&task.name)).then_some(1),
             };
-            match TaskRole::of(task).run(&mut ctx) {
+            let result = TaskRole::of(task).run(&mut ctx);
+            let received_sums = ctx.received_sums;
+            match result {
                 Ok(()) => {
-                    trace.record(&task.name, 0, EventKind::TaskFinished);
-                    if !ctx.received_sums.is_empty() {
-                        consumer_sums.insert(task.name.clone(), ctx.received_sums);
+                    trace.record(&task.name, EventKind::TaskFinished);
+                    if !received_sums.is_empty() {
+                        consumer_sums.insert(task.name.clone(), received_sums);
                     }
                 }
-                Err(reason) => trace.record(&task.name, 0, EventKind::TaskFailed { reason }),
+                Err(reason) => trace.record(&task.name, EventKind::TaskFailed { reason }),
             }
         }
         let failed_tasks = trace.failed_tasks();
@@ -160,20 +154,10 @@ impl Engine {
         Ok(RunOutcome {
             completed: failed_tasks.is_empty() && delivery_ok,
             timesteps: self.config.timesteps,
-            duration: start.elapsed(),
             consumer_sums,
             failed_tasks,
             trace,
         })
-    }
-
-    /// Parse a Wilkins configuration and run the workflow it describes.
-    pub fn run_wilkins_config(&self, config_text: &str) -> Result<RunOutcome, EngineError> {
-        let (config, report) = WilkinsConfig::parse(config_text);
-        match config {
-            Some(config) if report.is_valid() => self.run(&config.to_spec("wilkins-workflow")),
-            _ => Err(EngineError::InvalidConfig(report.to_string())),
-        }
     }
 }
 
@@ -183,7 +167,7 @@ impl Engine {
 struct Graph<'a> {
     links: Vec<Link>,
     inputs: Vec<BTreeMap<&'a str, usize>>,
-    outputs: Vec<BTreeMap<&'a str, Output<'a>>>,
+    outputs: Vec<BTreeMap<&'a str, Vec<usize>>>,
     order: Vec<usize>,
 }
 
@@ -211,16 +195,15 @@ impl<'a> Graph<'a> {
         let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indegree = vec![0usize; n];
         let mut inputs: Vec<BTreeMap<&str, usize>> = vec![BTreeMap::new(); n];
-        let mut outputs: Vec<BTreeMap<&str, Output>> = vec![BTreeMap::new(); n];
+        let mut outputs: Vec<BTreeMap<&str, Vec<usize>>> = vec![BTreeMap::new(); n];
         for (p, task) in spec.tasks.iter().enumerate() {
             for d in task.data.iter().filter(|d| d.role == DataRole::Produces) {
                 let output = outputs[p].entry(d.dataset.as_str()).or_default();
-                output.group_path = &d.group_path;
                 for &c in consumers.get(d.dataset.as_str()).into_iter().flatten() {
                     if c == p {
                         continue;
                     }
-                    output.links.push(links.len());
+                    output.push(links.len());
                     inputs[c].insert(&d.dataset, links.len());
                     links.push(Link::default());
                     successors[p].push(c);
@@ -261,16 +244,15 @@ mod tests {
     use super::*;
     use crate::trace::TraceSummary;
     use wfspeak_corpus::references::configs::WILKINS_3NODE;
+    use wfspeak_corpus::WorkflowSystemId;
     use wfspeak_systems::spec::TaskSpec;
+    use wfspeak_systems::workflow_spec_from_config;
 
     /// What a completed run must reproduce exactly: its summary and every
     /// consumer's sums.
-    fn fingerprint(outcome: RunOutcome) -> (TraceSummary, Vec<(String, Vec<f64>)>) {
+    fn fingerprint(outcome: RunOutcome) -> (TraceSummary, BTreeMap<String, Vec<f64>>) {
         assert!(outcome.completed, "trace:\n{}", outcome.trace.render());
-        let summary = outcome.summary();
-        let mut sums: Vec<(String, Vec<f64>)> = outcome.consumer_sums.into_iter().collect();
-        sums.sort_by(|a, b| a.0.cmp(&b.0));
-        (summary, sums)
+        (outcome.summary(), outcome.consumer_sums)
     }
 
     /// A run's failed tasks (sorted) and trace summary, in the form the
@@ -348,6 +330,21 @@ mod tests {
     }
 
     #[test]
+    fn repeat_runs_print_the_same_trace_and_sums() {
+        // Nothing in a run reads the clock or depends on hash order: two
+        // runs of one spec print the same log and list the same sums.
+        let run = || {
+            Engine::new(EngineConfig::default())
+                .run(&WorkflowSpec::paper_3node())
+                .unwrap()
+        };
+        let (first, second) = (run(), run());
+        assert!(first.trace.render().starts_with("producer: started\n"));
+        assert_eq!(first.trace.render(), second.trace.render());
+        assert_eq!(first.consumer_sums, second.consumer_sums);
+    }
+
+    #[test]
     fn relay_tasks_drain_inputs_and_republish() {
         // producer -> relay -> sink: the interior task must consume every
         // upstream timestep AND deliver every timestep downstream.
@@ -385,20 +382,13 @@ mod tests {
 
     #[test]
     fn reference_wilkins_config_executes() {
+        let (spec, report) = workflow_spec_from_config(WorkflowSystemId::Wilkins, WILKINS_3NODE);
+        assert!(report.is_valid(), "{report}");
         let outcome = Engine::new(EngineConfig::default())
-            .run_wilkins_config(WILKINS_3NODE)
+            .run(&spec.unwrap())
             .unwrap();
         assert!(outcome.completed, "trace:\n{}", outcome.trace.render());
         assert_eq!(outcome.total_received(), 6);
-    }
-
-    #[test]
-    fn hallucinated_wilkins_config_refuses_to_run() {
-        let bad = "workflow:\n  tasks:\n    - func: producer\n      command: ./p\n";
-        let err = Engine::new(EngineConfig::default())
-            .run_wilkins_config(bad)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidConfig(_)));
     }
 
     #[test]

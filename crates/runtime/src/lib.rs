@@ -2,14 +2,15 @@
 //!
 //! The paper evaluates LLMs on *describing* workflows (configuration files,
 //! annotated task codes); this crate closes the loop by actually *running*
-//! the described workflow.  A validated Wilkins-style configuration (or a
-//! neutral [`wfspeak_systems::WorkflowSpec`]) is turned into a task graph
-//! whose tasks exchange typed datasets over in-memory queues — the same
-//! producer/consumer pattern the benchmark's task codes implement.  Every
-//! score depends on message counts alone, so the engine runs the graph on
-//! the caller's thread: tasks in dependency order, each to the end, with no
-//! threads, channels or timeouts.  The same spec and seed always produce
-//! the same run.
+//! the described workflow.  A neutral [`wfspeak_systems::WorkflowSpec`]
+//! (which [`wfspeak_systems::workflow_spec_from_config`] recovers from any
+//! of the five systems' artifacts) is turned into a task graph whose tasks
+//! pass `f32` arrays over in-memory queues — the same producer/consumer
+//! pattern the benchmark's task codes implement.  Every score depends on
+//! message counts alone, so the engine runs the graph on the caller's
+//! thread: tasks in dependency order, each to the end, with no threads,
+//! channels or timeouts.  The same spec and seed always produce the same
+//! run, down to the text of its trace and the bits of every consumer sum.
 //!
 //! Uses:
 //! * behavioural correctness checks — a generated configuration is "right"
@@ -33,12 +34,10 @@
 //! assert_eq!(outcome.timesteps, 3);
 //! ```
 
-pub mod data;
 pub mod engine;
 mod task;
 pub mod trace;
 
-pub use data::{DataMessage, Dataset};
 pub use engine::{Engine, EngineConfig, EngineError, RunOutcome};
 pub use trace::{Event, EventKind, ExecutionTrace, TraceSummary};
 

@@ -2,10 +2,11 @@
 //!
 //! Only a task's rank 0 moves data: in the benchmark's task codes the other
 //! ranks only feed a sum reduction whose result no consumer sees.  So the
-//! engine steps rank 0 alone, and a task's `nprocs` only counts against the
-//! sandbox caps.
+//! engine runs each task once, as its rank 0, and a task's `nprocs` only
+//! counts against the sandbox caps.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,29 +14,28 @@ use rand::{Rng, SeedableRng};
 use wfspeak_systems::spec::DataRole;
 use wfspeak_systems::TaskSpec;
 
-use crate::data::{DataMessage, Dataset};
 use crate::trace::{EventKind, ExecutionTrace};
+
+/// A message on a producer→consumer link.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Message {
+    /// One timestep of a dataset: the array its producer generated, shared
+    /// by every link it was published on.
+    Step { timestep: usize, values: Rc<[f32]> },
+    /// The producer has finished; no more steps will arrive.
+    EndOfStream,
+}
 
 /// One producer→consumer edge: the messages published on it and not yet
 /// received, oldest first.
 #[derive(Debug, Default)]
 pub(crate) struct Link {
     /// Messages in flight on this edge.
-    pub(crate) queue: VecDeque<DataMessage>,
+    pub(crate) queue: VecDeque<Message>,
     /// False when the consumer reads this dataset from another link (a
     /// later producer of the same dataset took its end over), so a send on
     /// this one fails.
     pub(crate) connected: bool,
-}
-
-/// A dataset a task produces: the group path stamped on it and one link
-/// per consumer edge, in edge order.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Output<'a> {
-    /// HDF5-style group path of the published [`Dataset`]s.
-    pub(crate) group_path: &'a str,
-    /// Indices into [`TaskContext::links`].
-    pub(crate) links: Vec<usize>,
 }
 
 /// Everything one task needs while it runs.  Datasets are keyed by name in
@@ -50,13 +50,14 @@ pub(crate) struct TaskContext<'a> {
     pub(crate) elements: usize,
     /// Consumed dataset → the link it is read from.
     pub(crate) inputs: BTreeMap<&'a str, usize>,
-    /// Produced dataset → its links.
-    pub(crate) outputs: BTreeMap<&'a str, Output<'a>>,
+    /// Produced dataset → its links (indices into `links`), one per
+    /// consumer edge, in edge order.
+    pub(crate) outputs: BTreeMap<&'a str, Vec<usize>>,
     /// Every link of the workflow.
     pub(crate) links: &'a mut [Link],
-    /// Shared execution trace.
-    pub(crate) trace: &'a ExecutionTrace,
-    /// Deterministic RNG (the task's rank-0 stream).
+    /// The run's execution trace.
+    pub(crate) trace: &'a mut ExecutionTrace,
+    /// Deterministic RNG (the task's stream).
     pub(crate) rng: StdRng,
     /// Collected per-message sums (consumers and relays fill this in).
     pub(crate) received_sums: Vec<f64>,
@@ -68,10 +69,8 @@ impl TaskContext<'_> {
     /// Publish `values` as dataset `name` on each of its links.  A send on
     /// a disconnected link fails the task, as a send to a dropped receiver
     /// would.
-    fn publish(&mut self, name: &str, timestep: usize, values: &[f32]) -> Result<(), String> {
-        let output = &self.outputs[name];
-        let dataset = Dataset::from_f32(name, output.group_path, values);
-        for &link in &output.links {
+    fn publish(&mut self, name: &str, timestep: usize, values: &Rc<[f32]>) -> Result<(), String> {
+        for &link in &self.outputs[name] {
             let link = &mut self.links[link];
             if !link.connected {
                 return Err(format!(
@@ -79,14 +78,13 @@ impl TaskContext<'_> {
                     self.task
                 ));
             }
-            link.queue.push_back(DataMessage::Step {
+            link.queue.push_back(Message::Step {
                 timestep,
-                dataset: dataset.clone(),
+                values: Rc::clone(values),
             });
         }
         self.trace.record(
             self.task,
-            0,
             EventKind::DataPublished {
                 dataset: name.to_owned(),
                 timestep,
@@ -97,7 +95,7 @@ impl TaskContext<'_> {
 
     /// Publish one fresh random array as every dataset in `names`.
     fn publish_fresh(&mut self, names: &[&str], timestep: usize) -> Result<(), String> {
-        let values: Vec<f32> = (0..self.elements).map(|_| self.rng.gen()).collect();
+        let values: Rc<[f32]> = (0..self.elements).map(|_| self.rng.gen()).collect();
         names
             .iter()
             .try_for_each(|name| self.publish(name, timestep, &values))
@@ -105,11 +103,11 @@ impl TaskContext<'_> {
 
     /// Signal end-of-stream on every connected output link.
     fn close_outputs(&mut self) {
-        for output in self.outputs.values() {
-            for &link in &output.links {
+        for links in self.outputs.values() {
+            for &link in links {
                 let link = &mut self.links[link];
                 if link.connected {
-                    link.queue.push_back(DataMessage::EndOfStream);
+                    link.queue.push_back(Message::EndOfStream);
                 }
             }
         }
@@ -118,7 +116,7 @@ impl TaskContext<'_> {
     /// Take the next message for dataset `name`.  Upstream tasks run to
     /// the end before this one starts, so an empty link means its producer
     /// failed before sending end-of-stream: nothing more will ever arrive.
-    fn receive(&mut self, name: &str) -> Result<DataMessage, String> {
+    fn receive(&mut self, name: &str) -> Result<Message, String> {
         let link = *self
             .inputs
             .get(name)
@@ -132,8 +130,8 @@ impl TaskContext<'_> {
     }
 
     /// Receive one message from every open input in `names`, recording and
-    /// summing each dataset; an end-of-stream closes its input.  Returns
-    /// whether any data arrived.
+    /// summing each dataset (each element widened to `f64`, in order); an
+    /// end-of-stream closes its input.  Returns whether any data arrived.
     fn receive_round(&mut self, names: &[&str], open: &mut [bool]) -> Result<bool, String> {
         let mut got_data = false;
         for (&name, is_open) in names.iter().zip(open) {
@@ -141,19 +139,19 @@ impl TaskContext<'_> {
                 continue;
             }
             match self.receive(name)? {
-                DataMessage::Step { timestep, dataset } => {
+                Message::Step { timestep, values } => {
                     self.trace.record(
                         self.task,
-                        0,
                         EventKind::DataReceived {
                             dataset: name.to_owned(),
                             timestep,
                         },
                     );
-                    self.received_sums.push(dataset.sum());
+                    self.received_sums
+                        .push(values.iter().map(|&v| f64::from(v)).sum());
                     got_data = true;
                 }
-                DataMessage::EndOfStream => *is_open = false,
+                Message::EndOfStream => *is_open = false,
             }
         }
         Ok(got_data)
@@ -225,20 +223,20 @@ impl TaskRole {
     }
 }
 
-/// Create the deterministic per-rank RNG used by task roles.
-pub(crate) fn rank_rng(seed: u64, task: &str, rank: usize) -> StdRng {
+/// Create the deterministic per-task RNG used by task roles.
+pub(crate) fn task_rng(seed: u64, task: &str) -> StdRng {
     let mut hash = seed ^ 0x9e3779b97f4a7c15;
     for b in task.bytes() {
         hash = hash.wrapping_mul(31).wrapping_add(b as u64);
     }
-    StdRng::seed_from_u64(hash.wrapping_add(rank as u64))
+    StdRng::seed_from_u64(hash)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn minimal_ctx<'a>(links: &'a mut [Link], trace: &'a ExecutionTrace) -> TaskContext<'a> {
+    fn minimal_ctx<'a>(links: &'a mut [Link], trace: &'a mut ExecutionTrace) -> TaskContext<'a> {
         TaskContext {
             task: "t",
             timesteps: 1,
@@ -247,16 +245,9 @@ mod tests {
             outputs: BTreeMap::new(),
             links,
             trace,
-            rng: rank_rng(1, "t", 0),
+            rng: task_rng(1, "t"),
             received_sums: Vec::new(),
             fail_at_step: None,
-        }
-    }
-
-    fn grid_output(links: Vec<usize>) -> Output<'static> {
-        Output {
-            group_path: "/group1/grid",
-            links,
         }
     }
 
@@ -269,31 +260,33 @@ mod tests {
 
     #[test]
     fn publish_delivers_to_all_consumers() {
-        let trace = ExecutionTrace::new();
+        let mut trace = ExecutionTrace::default();
         let mut links = [connected(), connected()];
-        let mut ctx = minimal_ctx(&mut links, &trace);
-        ctx.outputs.insert("grid", grid_output(vec![0, 1]));
-        ctx.publish("grid", 0, &[1.0, 2.0]).unwrap();
+        let mut ctx = minimal_ctx(&mut links, &mut trace);
+        ctx.outputs.insert("grid", vec![0, 1]);
+        let values: Rc<[f32]> = Rc::from([1.0, 2.0].as_slice());
+        ctx.publish("grid", 0, &values).unwrap();
         for link in &links {
-            match &link.queue[0] {
-                DataMessage::Step { timestep, dataset } => {
-                    assert_eq!(*timestep, 0);
-                    assert_eq!(dataset.to_f32(), vec![1.0, 2.0]);
-                    assert_eq!(dataset.group_path, "/group1/grid");
-                }
-                other => panic!("unexpected message {other:?}"),
-            }
+            let step = Message::Step {
+                timestep: 0,
+                values: Rc::clone(&values),
+            };
+            assert_eq!(link.queue, [step]);
         }
+        // Both links hold the one array the producer generated.
+        assert_eq!(Rc::strong_count(&values), 3);
         assert_eq!(trace.published_count("grid"), 1);
     }
 
     #[test]
     fn publish_on_a_disconnected_link_fails_without_publishing() {
-        let trace = ExecutionTrace::new();
+        let mut trace = ExecutionTrace::default();
         let mut links = [Link::default()];
-        let mut ctx = minimal_ctx(&mut links, &trace);
-        ctx.outputs.insert("grid", grid_output(vec![0]));
-        let err = ctx.publish("grid", 0, &[1.0]).unwrap_err();
+        let mut ctx = minimal_ctx(&mut links, &mut trace);
+        ctx.outputs.insert("grid", vec![0]);
+        let err = ctx
+            .publish("grid", 0, &Rc::from([1.0].as_slice()))
+            .unwrap_err();
         assert!(err.contains("send of `grid` failed"), "{err}");
         assert!(links[0].queue.is_empty());
         assert_eq!(trace.published_count("grid"), 0);
@@ -301,9 +294,9 @@ mod tests {
 
     #[test]
     fn receive_fails_when_the_producer_sent_no_end_of_stream() {
-        let trace = ExecutionTrace::new();
+        let mut trace = ExecutionTrace::default();
         let mut links = [connected()];
-        let mut ctx = minimal_ctx(&mut links, &trace);
+        let mut ctx = minimal_ctx(&mut links, &mut trace);
         ctx.inputs.insert("grid", 0);
         let err = ctx.receive("grid").unwrap_err();
         assert!(err.contains("producer failed"), "{err}");
@@ -311,25 +304,25 @@ mod tests {
 
     #[test]
     fn receive_unknown_dataset_errors() {
-        let trace = ExecutionTrace::new();
-        let mut ctx = minimal_ctx(&mut [], &trace);
+        let mut trace = ExecutionTrace::default();
+        let mut ctx = minimal_ctx(&mut [], &mut trace);
         assert!(ctx.receive("missing").is_err());
     }
 
     #[test]
-    fn rank_rng_is_deterministic_and_rank_dependent() {
-        let draw = |rank| -> Vec<u32> {
-            let mut r = rank_rng(7, "producer", rank);
+    fn task_rng_is_deterministic_and_task_dependent() {
+        let draw = |task| -> Vec<u32> {
+            let mut r = task_rng(7, task);
             (0..4).map(|_| r.gen()).collect()
         };
-        assert_eq!(draw(0), draw(0));
-        assert_ne!(draw(0), draw(1));
+        assert_eq!(draw("producer"), draw("producer"));
+        assert_ne!(draw("producer"), draw("consumer"));
     }
 
     #[test]
     fn producer_behavior_fails_when_injected() {
-        let trace = ExecutionTrace::new();
-        let mut ctx = minimal_ctx(&mut [], &trace);
+        let mut trace = ExecutionTrace::default();
+        let mut ctx = minimal_ctx(&mut [], &mut trace);
         ctx.fail_at_step = Some(0);
         let err = TaskRole::Producer.run(&mut ctx).unwrap_err();
         assert!(err.contains("injected failure"));

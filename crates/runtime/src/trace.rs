@@ -1,23 +1,20 @@
-//! Execution tracing: a shared event log recorded while a workflow runs,
-//! used by tests, examples and the behavioural-correctness checks.
+//! Execution tracing: the log of one run's events, in the order the engine
+//! recorded them, used by tests, examples and the behavioural-correctness
+//! checks.  A run is a function of its spec and seed, and so is its log:
+//! [`ExecutionTrace::render`] prints the same text on every run.
 //!
 //! Beyond the raw log, [`TraceSummary`] condenses a trace into deterministic
 //! counts (per-dataset message totals, an event-kind histogram, per-task
-//! lifecycle tallies) that are identical across repeated runs of the same
-//! seed whatever order the events were recorded in — the form the
-//! execution-validated evaluation compares against a reference run via
-//! [`TraceSummary::fidelity`].
+//! lifecycle tallies) that do not depend on the order the events were
+//! recorded in — the form the execution-validated evaluation compares
+//! against a reference run via [`TraceSummary::fidelity`].
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// What happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// A task (all its ranks) started.
+    /// A task started.
     TaskStarted,
     /// A task published a dataset for a timestep.
     DataPublished {
@@ -60,65 +57,33 @@ impl EventKind {
 pub struct Event {
     /// Task that emitted the event.
     pub task: String,
-    /// Rank within the task's process group.
-    pub rank: usize,
-    /// Microseconds since the engine started.
-    pub elapsed_us: u128,
     /// Event payload.
     pub kind: EventKind,
 }
 
-/// A shared, append-only event log.
-#[derive(Debug, Clone)]
+/// The event log of one run, in recording order.
+#[derive(Debug, Clone, Default)]
 pub struct ExecutionTrace {
-    start: Instant,
-    events: Arc<Mutex<Vec<Event>>>,
-}
-
-impl Default for ExecutionTrace {
-    fn default() -> Self {
-        Self::new()
-    }
+    events: Vec<Event>,
 }
 
 impl ExecutionTrace {
-    /// Create an empty trace starting now.
-    pub fn new() -> Self {
-        ExecutionTrace {
-            start: Instant::now(),
-            events: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// Record an event.
-    pub fn record(&self, task: &str, rank: usize, kind: EventKind) {
-        let event = Event {
+    /// Append an event.
+    pub fn record(&mut self, task: &str, kind: EventKind) {
+        self.events.push(Event {
             task: task.to_owned(),
-            rank,
-            elapsed_us: self.start.elapsed().as_micros(),
             kind,
-        };
-        self.events.lock().push(event);
+        });
     }
 
-    /// Snapshot of all events recorded so far.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.lock().clone()
-    }
-
-    /// Number of events recorded.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// True when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Every event recorded so far, oldest first.
+    pub fn events(&self) -> &[Event] {
+        &self.events
     }
 
     /// Count events matching a predicate.
     pub fn count_where(&self, predicate: impl Fn(&Event) -> bool) -> usize {
-        self.events.lock().iter().filter(|e| predicate(e)).count()
+        self.events.iter().filter(|e| predicate(e)).count()
     }
 
     /// Number of `DataPublished` events for a dataset.
@@ -138,7 +103,6 @@ impl ExecutionTrace {
     /// Names of tasks that failed.
     pub fn failed_tasks(&self) -> Vec<String> {
         self.events
-            .lock()
             .iter()
             .filter_map(|e| match &e.kind {
                 EventKind::TaskFailed { .. } => Some(e.task.clone()),
@@ -150,7 +114,7 @@ impl ExecutionTrace {
     /// Condense the trace into its deterministic [`TraceSummary`].
     pub fn summary(&self) -> TraceSummary {
         let mut summary = TraceSummary::default();
-        for e in self.events.lock().iter() {
+        for e in &self.events {
             *summary.events.entry(e.kind.label()).or_insert(0) += 1;
             match &e.kind {
                 EventKind::TaskStarted => {
@@ -173,10 +137,10 @@ impl ExecutionTrace {
         summary
     }
 
-    /// Render a compact human-readable log.
+    /// Render the log, one `task: event` line per event.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for e in self.events.lock().iter() {
+        for e in &self.events {
             let desc = match &e.kind {
                 EventKind::TaskStarted => "started".to_owned(),
                 EventKind::TaskFinished => "finished".to_owned(),
@@ -188,10 +152,7 @@ impl ExecutionTrace {
                     format!("received {dataset} [t={timestep}]")
                 }
             };
-            out.push_str(&format!(
-                "[{:>8} us] {}[{}]: {}\n",
-                e.elapsed_us, e.task, e.rank, desc
-            ));
+            out.push_str(&format!("{}: {desc}\n", e.task));
         }
         out
     }
@@ -292,12 +253,11 @@ mod tests {
 
     #[test]
     fn record_and_query() {
-        let trace = ExecutionTrace::new();
-        assert!(trace.is_empty());
-        trace.record("producer", 0, EventKind::TaskStarted);
+        let mut trace = ExecutionTrace::default();
+        assert!(trace.events().is_empty());
+        trace.record("producer", EventKind::TaskStarted);
         trace.record(
             "producer",
-            0,
             EventKind::DataPublished {
                 dataset: "grid".into(),
                 timestep: 0,
@@ -305,14 +265,13 @@ mod tests {
         );
         trace.record(
             "consumer1",
-            0,
             EventKind::DataReceived {
                 dataset: "grid".into(),
                 timestep: 0,
             },
         );
-        trace.record("producer", 0, EventKind::TaskFinished);
-        assert_eq!(trace.len(), 4);
+        trace.record("producer", EventKind::TaskFinished);
+        assert_eq!(trace.events().len(), 4);
         assert_eq!(trace.published_count("grid"), 1);
         assert_eq!(trace.received_count("grid"), 1);
         assert_eq!(trace.published_count("particles"), 0);
@@ -321,10 +280,9 @@ mod tests {
 
     #[test]
     fn failed_tasks_reported() {
-        let trace = ExecutionTrace::new();
+        let mut trace = ExecutionTrace::default();
         trace.record(
             "consumer2",
-            0,
             EventKind::TaskFailed {
                 reason: "missing dataset".into(),
             },
@@ -334,37 +292,26 @@ mod tests {
 
     #[test]
     fn render_contains_tasks_and_events() {
-        let trace = ExecutionTrace::new();
-        trace.record("producer", 1, EventKind::TaskStarted);
+        let mut trace = ExecutionTrace::default();
+        trace.record("producer", EventKind::TaskStarted);
         trace.record(
             "producer",
-            1,
             EventKind::DataPublished {
                 dataset: "grid".into(),
                 timestep: 2,
             },
         );
         let text = trace.render();
-        assert!(text.contains("producer[1]"));
-        assert!(text.contains("published grid [t=2]"));
-    }
-
-    #[test]
-    fn clone_shares_the_same_log() {
-        let trace = ExecutionTrace::new();
-        let cloned = trace.clone();
-        cloned.record("x", 0, EventKind::TaskStarted);
-        assert_eq!(trace.len(), 1);
+        assert_eq!(text, "producer: started\nproducer: published grid [t=2]\n");
     }
 
     fn sample_trace() -> ExecutionTrace {
-        let trace = ExecutionTrace::new();
-        trace.record("producer", 0, EventKind::TaskStarted);
-        trace.record("consumer1", 0, EventKind::TaskStarted);
+        let mut trace = ExecutionTrace::default();
+        trace.record("producer", EventKind::TaskStarted);
+        trace.record("consumer1", EventKind::TaskStarted);
         for t in 0..3 {
             trace.record(
                 "producer",
-                0,
                 EventKind::DataPublished {
                     dataset: "grid".into(),
                     timestep: t,
@@ -372,15 +319,14 @@ mod tests {
             );
             trace.record(
                 "consumer1",
-                0,
                 EventKind::DataReceived {
                     dataset: "grid".into(),
                     timestep: t,
                 },
             );
         }
-        trace.record("producer", 0, EventKind::TaskFinished);
-        trace.record("consumer1", 0, EventKind::TaskFinished);
+        trace.record("producer", EventKind::TaskFinished);
+        trace.record("consumer1", EventKind::TaskFinished);
         trace
     }
 
@@ -403,13 +349,12 @@ mod tests {
     fn summary_is_order_independent() {
         // The same events recorded in a different interleaving summarise
         // identically — the property the determinism guarantees rest on.
-        let reordered = ExecutionTrace::new();
-        reordered.record("consumer1", 0, EventKind::TaskStarted);
-        reordered.record("producer", 0, EventKind::TaskStarted);
+        let mut reordered = ExecutionTrace::default();
+        reordered.record("consumer1", EventKind::TaskStarted);
+        reordered.record("producer", EventKind::TaskStarted);
         for t in [2usize, 0, 1] {
             reordered.record(
                 "consumer1",
-                0,
                 EventKind::DataReceived {
                     dataset: "grid".into(),
                     timestep: t,
@@ -417,15 +362,14 @@ mod tests {
             );
             reordered.record(
                 "producer",
-                0,
                 EventKind::DataPublished {
                     dataset: "grid".into(),
                     timestep: t,
                 },
             );
         }
-        reordered.record("consumer1", 0, EventKind::TaskFinished);
-        reordered.record("producer", 0, EventKind::TaskFinished);
+        reordered.record("consumer1", EventKind::TaskFinished);
+        reordered.record("producer", EventKind::TaskFinished);
         assert_eq!(sample_trace().summary(), reordered.summary());
     }
 
@@ -445,25 +389,23 @@ mod tests {
     fn fidelity_degrades_with_missing_messages_and_failures() {
         let reference = sample_trace().summary();
 
-        let partial = ExecutionTrace::new();
-        partial.record("producer", 0, EventKind::TaskStarted);
+        let mut partial = ExecutionTrace::default();
+        partial.record("producer", EventKind::TaskStarted);
         partial.record(
             "producer",
-            0,
             EventKind::DataPublished {
                 dataset: "grid".into(),
                 timestep: 0,
             },
         );
-        partial.record("producer", 0, EventKind::TaskFinished);
+        partial.record("producer", EventKind::TaskFinished);
         let partial_score = partial.summary().fidelity(&reference);
         assert!(partial_score > 0.0 && partial_score < 1.0);
 
-        let failed = ExecutionTrace::new();
-        failed.record("producer", 0, EventKind::TaskStarted);
+        let mut failed = ExecutionTrace::default();
+        failed.record("producer", EventKind::TaskStarted);
         failed.record(
             "producer",
-            0,
             EventKind::TaskFailed {
                 reason: "boom".into(),
             },

@@ -10,9 +10,15 @@
 //!
 //! * **by id** — `task` + `system` (or the combined `reference_id` form
 //!   `"task/system"`) select one of the paper's ground-truth artifacts,
-//!   which the server caches in prepared form across *all* connections; or
-//! * **by text** — `reference_text` carries an arbitrary reference, which is
-//!   prepared through the same shared cache (repeat texts hit).
+//!   which the server keeps on first use, up to its cap of cached
+//!   references, across *all* connections: prepared for `score` and
+//!   `evaluate`, as the summary of its run for `execute`; or
+//! * **by text** — `reference_text` carries an arbitrary reference. A
+//!   `score` or `evaluate` request's text goes through the same shared
+//!   cache, but is kept only from its second sighting, and only while the
+//!   kept inline texts and their prepared tables fit a 4 MiB budget;
+//!   otherwise it is prepared for its request alone. An `execute`
+//!   request's text is run for its request alone and never kept.
 //!
 //! A request's `mode` selects how hypotheses are processed: plain BLEU/ChrF
 //! scoring (the default); `"evaluate"` — the full pipeline that strips
@@ -103,19 +109,23 @@ pub struct ScoreRequest {
     /// `execution` or `stats`. Ignored when `reference_id` is given.
     pub task: String,
     /// Workflow system whose ground-truth artifact is the reference (for
-    /// `translation`, the *target* system). Ignored when `reference_id` or
-    /// `reference_text` is given — except by `evaluate` requests, which
-    /// always need a system for API-call comparison.
+    /// `translation`, the *target* system). Ignored when `reference_id` is
+    /// given: its `system` part takes this field's place. `reference_text`
+    /// replaces the artifact but not the system, which `evaluate` requests
+    /// still need for API-call comparison and `execute` requests for the
+    /// configuration dialect; `score` requests with inline text ignore it.
     pub system: String,
     /// Combined `"task/system"` reference address; overrides `task`/`system`.
     pub reference_id: Option<String>,
     /// Literal reference text; overrides every other addressing field.
     pub reference_text: Option<String>,
     /// Processing mode: empty or `"score"` for plain scoring, `"evaluate"`
-    /// for the full extraction → comparison → scoring pipeline.
+    /// for the full extraction → comparison → scoring pipeline, `"execute"`
+    /// for running each response's workflow on the runtime engine.
     pub mode: String,
-    /// The hypotheses to score, in order. For `evaluate` requests these are
-    /// raw model responses (fences and prose are stripped server-side).
+    /// The hypotheses to score, in order. For `evaluate` and `execute`
+    /// requests these are raw model responses (fences and prose are
+    /// stripped server-side).
     pub hypotheses: Vec<String>,
     /// Per-request deadline in milliseconds, measured server-side from
     /// admission to the job queue. A job still queued when its deadline
@@ -524,8 +534,10 @@ pub struct ScoreResponse {
     /// request carried more hypotheses than the server's per-request cap.
     pub error_kind: Option<String>,
     /// Per-hypothesis scores, in request order. Empty on failure, for
-    /// `stats` requests and for `evaluate` requests (which fill
-    /// [`evaluations`](ScoreResponse::evaluations) instead).
+    /// `stats` requests, for `evaluate` requests (which fill
+    /// [`evaluations`](ScoreResponse::evaluations) instead) and for
+    /// `execute` requests (which fill
+    /// [`executions`](ScoreResponse::executions)).
     pub scores: Vec<HypothesisScore>,
     /// Per-response pipeline evaluations, in request order; filled only for
     /// `evaluate` requests.

@@ -71,7 +71,7 @@ use parking_lot::Mutex;
 use polling::{Event, Interest, Poller};
 use wfspeak_core::eval::{evaluate_prepared, SystemProfile};
 use wfspeak_core::exec::ExecutionPipeline;
-use wfspeak_core::{ReferenceCache, WorkflowSystemId};
+use wfspeak_core::{PreparedPair, ReferenceCache, WorkflowSystemId};
 use wfspeak_metrics::{BleuScorer, ChrfScorer, Scorer};
 
 use crate::affinity;
@@ -251,10 +251,11 @@ impl ServiceState {
         }
     }
 
-    /// Execute one request. Both modes funnel through exactly the code the
+    /// Execute one request. Every mode funnels through exactly the code the
     /// in-process paths use — `Scorer::score_prepared` for scoring,
-    /// `wfspeak_core::eval::evaluate_prepared` for the full pipeline — so
-    /// served results are bit-identical to direct composition.
+    /// `wfspeak_core::eval::evaluate_prepared` for the full pipeline,
+    /// `wfspeak_core::exec::execute_artifact` for execution — so served
+    /// results are bit-identical to direct composition.
     fn handle(&self, request: &ScoreRequest) -> ScoreResponse {
         let mode = match request.resolve_mode() {
             Ok(mode) => mode,
@@ -268,102 +269,27 @@ impl ServiceState {
         // Evaluate needs a workflow system for API-call comparison; execute
         // needs one to pick the configuration dialect — even when the
         // reference text arrives inline.
-        let system_id = match mode {
-            RequestMode::Score => None,
-            RequestMode::Evaluate | RequestMode::Execute => {
-                let Some(name) = request.resolve_system_name() else {
-                    return ScoreResponse::failure(
-                        request.id,
-                        "evaluate/execute requests must name a workflow system \
-                         (`system` or `reference_id`)",
-                    );
-                };
-                match WorkflowSystemId::from_name(name) {
-                    Some(id) => Some(id),
-                    None => {
-                        return ScoreResponse::failure(
-                            request.id,
-                            format!("unknown workflow system `{name}`"),
-                        )
-                    }
-                }
-            }
+        let work = match mode {
+            RequestMode::Score => Ok(Work::Score),
+            RequestMode::Evaluate => named_system(request).map(Work::Evaluate),
+            RequestMode::Execute => named_system(request).map(Work::Execute),
+        };
+        let work = match work {
+            Ok(work) => work,
+            Err(message) => return ScoreResponse::failure(request.id, message),
         };
         // Every hypothesis is work on this worker and a part of the reply;
         // bound what one request can pin the worker with.
-        let cap = match mode {
-            RequestMode::Score | RequestMode::Evaluate => MAX_SCORE_HYPOTHESES,
-            RequestMode::Execute => MAX_EXECUTE_HYPOTHESES,
+        let cap = match work {
+            Work::Score | Work::Evaluate(_) => MAX_SCORE_HYPOTHESES,
+            Work::Execute(_) => MAX_EXECUTE_HYPOTHESES,
         };
         if request.hypotheses.len() > cap {
             return ScoreResponse::request_too_large(request.id, request.hypotheses.len(), cap);
         }
-        if mode == RequestMode::Execute {
-            // `system_id` is always `Some` here (resolved just above for
-            // execute mode), but the invariant is guarded by a typed
-            // protocol error rather than an `expect`: no request shape may
-            // ever panic a worker, even without the `catch_unwind` backstop.
-            let Some(system) = system_id else {
-                return ScoreResponse::failure(
-                    request.id,
-                    "execute requests must name a workflow system \
-                     (`system` or `reference_id`)",
-                );
-            };
-            // Resolve the reference run first so a bad reference is a
-            // failure (uncounted), matching every other addressing error.
-            // Only the references the server resolves itself are kept;
-            // inline text is run for its request alone.
-            let summary = if request.reference_text.is_some() {
-                self.executor.run_reference(system, reference).map(Arc::new)
-            } else {
-                self.executor.reference_summary(system, reference)
-            };
-            let summary = match summary {
-                Ok(summary) => summary,
-                Err(message) => return ScoreResponse::failure(request.id, message),
-            };
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.hypotheses
-                .fetch_add(request.hypotheses.len() as u64, Ordering::Relaxed);
-            let executions: Vec<ExecutionScore> = request
-                .hypotheses
-                .iter()
-                .map(|response| {
-                    ExecutionScore::from_execution(&wfspeak_core::exec::execute_artifact(
-                        self.executor.sandbox(),
-                        system,
-                        response,
-                        &summary,
-                    ))
-                })
-                .collect();
-            return ScoreResponse::executed(request.id, executions);
-        }
-        let profile = system_id.map(SystemProfile::for_system);
-        // Counted at admission, before the cache lookup, so a concurrent
-        // `stats` snapshot never shows more cache traffic than the request
-        // count can explain.
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.hypotheses
-            .fetch_add(request.hypotheses.len() as u64, Ordering::Relaxed);
-        // The server resolves `reference_id` and `task` + `system` to its
-        // own references and keeps them at once; inline text is kept only
-        // once it repeats.
-        let lookup = if request.reference_text.is_some() {
-            ReferenceCache::get_or_prepare_inline
-        } else {
-            ReferenceCache::get_or_prepare_bounded
-        };
-        let prepared = lookup(
-            &self.cache,
-            &self.bleu,
-            &self.chrf,
-            reference,
-            self.max_cached_references,
-        );
-        match profile {
-            None => {
+        match work {
+            Work::Score => {
+                let prepared = self.admit_and_prepare(request, reference);
                 let scores: Vec<HypothesisScore> = request
                     .hypotheses
                     .iter()
@@ -374,7 +300,9 @@ impl ServiceState {
                     .collect();
                 ScoreResponse::success(request.id, scores)
             }
-            Some(profile) => {
+            Work::Evaluate(system) => {
+                let profile = SystemProfile::for_system(system);
+                let prepared = self.admit_and_prepare(request, reference);
                 let evaluations: Vec<EvaluationScore> = request
                     .hypotheses
                     .iter()
@@ -386,8 +314,89 @@ impl ServiceState {
                     .collect();
                 ScoreResponse::evaluated(request.id, evaluations)
             }
+            Work::Execute(system) => {
+                // Resolve the reference run first so a bad reference is a
+                // failure (uncounted), matching every other addressing
+                // error. Only the references the server resolves itself
+                // are kept; inline text is run for its request alone.
+                let summary = if request.reference_text.is_some() {
+                    self.executor.run_reference(system, reference).map(Arc::new)
+                } else {
+                    self.executor.reference_summary(system, reference)
+                };
+                let summary = match summary {
+                    Ok(summary) => summary,
+                    Err(message) => return ScoreResponse::failure(request.id, message),
+                };
+                self.count(request);
+                let executions: Vec<ExecutionScore> = request
+                    .hypotheses
+                    .iter()
+                    .map(|response| {
+                        ExecutionScore::from_execution(&wfspeak_core::exec::execute_artifact(
+                            self.executor.sandbox(),
+                            system,
+                            response,
+                            &summary,
+                        ))
+                    })
+                    .collect();
+                ScoreResponse::executed(request.id, executions)
+            }
         }
     }
+
+    /// Count an admitted request and its hypotheses.
+    fn count(&self, request: &ScoreRequest) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.hypotheses
+            .fetch_add(request.hypotheses.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Count a score or evaluate request and prepare its reference.
+    fn admit_and_prepare(&self, request: &ScoreRequest, reference: &str) -> Arc<PreparedPair> {
+        // Counted at admission, before the cache lookup, so a concurrent
+        // `stats` snapshot never shows more cache traffic than the request
+        // count can explain.
+        self.count(request);
+        // The server resolves `reference_id` and `task` + `system` to its
+        // own references and keeps them at once; inline text is kept only
+        // once it repeats.
+        let lookup = if request.reference_text.is_some() {
+            ReferenceCache::get_or_prepare_inline
+        } else {
+            ReferenceCache::get_or_prepare_bounded
+        };
+        lookup(
+            &self.cache,
+            &self.bleu,
+            &self.chrf,
+            reference,
+            self.max_cached_references,
+        )
+    }
+}
+
+/// What a request asks a worker to do, carrying the workflow system its
+/// mode needs.
+#[derive(Debug, Clone, Copy)]
+enum Work {
+    /// BLEU/ChrF of pre-extracted hypotheses.
+    Score,
+    /// The full pipeline, comparing API calls against this system's
+    /// catalogue.
+    Evaluate(WorkflowSystemId),
+    /// Dynamic execution of artifacts in this system's dialect.
+    Execute(WorkflowSystemId),
+}
+
+/// The workflow system an evaluate or execute request names.
+fn named_system(request: &ScoreRequest) -> Result<WorkflowSystemId, String> {
+    let name = request.resolve_system_name().ok_or(
+        "evaluate/execute requests must name a workflow system \
+         (`system` or `reference_id`)",
+    )?;
+    WorkflowSystemId::from_name(name).ok_or_else(|| format!("unknown workflow system `{name}`"))
 }
 
 /// What the I/O loop shares with the workers and the server handle: its

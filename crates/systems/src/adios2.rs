@@ -4,15 +4,12 @@
 //! (a list of `IO` definitions with an `Engine` and optional `Variables`)
 //! and task codes annotated with the `adios2_*` C API.
 
-use wfspeak_codemodel::lexer::Language;
 use wfspeak_corpus::WorkflowSystemId;
 use wfspeak_wyaml::{parse_document, EntryRef, Node};
 
-use crate::annotate::validate_task_code;
-use crate::api::{catalog_for, ApiCatalog};
+use crate::api::catalog_for;
 use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
 use crate::spec::{DataRole, WorkflowSpec};
-use crate::WorkflowSystem;
 
 /// Engine types ADIOS2 actually ships.
 pub const REAL_ENGINES: &[&str] = &[
@@ -311,53 +308,10 @@ fn capitalize(s: &str) -> String {
     }
 }
 
-/// The ADIOS2 system model.
-#[derive(Debug)]
-pub struct Adios2System {
-    api: ApiCatalog,
-}
-
-impl Adios2System {
-    /// Create the model.
-    pub fn new() -> Self {
-        Adios2System {
-            api: catalog_for(WorkflowSystemId::Adios2),
-        }
-    }
-}
-
-impl Default for Adios2System {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WorkflowSystem for Adios2System {
-    fn id(&self) -> WorkflowSystemId {
-        WorkflowSystemId::Adios2
-    }
-
-    fn api(&self) -> &ApiCatalog {
-        &self.api
-    }
-
-    fn validate_config(&self, config: &str) -> ValidationReport {
-        let (_, report) = Adios2Config::parse(config);
-        report
-    }
-
-    fn validate_task_code(&self, code: &str) -> ValidationReport {
-        validate_task_code(&self.api, code, Language::C, &[])
-    }
-
-    fn generate_config(&self, spec: &WorkflowSpec) -> Option<String> {
-        Some(Adios2Config::render_for_spec(spec))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate_task_code;
     use wfspeak_corpus::references::{annotated, configs};
 
     #[test]
@@ -419,16 +373,14 @@ mod tests {
 
     #[test]
     fn reference_annotation_validates() {
-        let system = Adios2System::new();
-        let report = system.validate_task_code(annotated::ADIOS2_PRODUCER);
+        let report = validate_task_code(WorkflowSystemId::Adios2, annotated::ADIOS2_PRODUCER);
         assert!(report.is_valid(), "{report}");
     }
 
     #[test]
     fn hallucinated_adios_call_detected() {
-        let system = Adios2System::new();
         let code = "int main() { adios2_write_step(engine, var, data); }";
-        let report = system.validate_task_code(code);
+        let report = validate_task_code(WorkflowSystemId::Adios2, code);
         assert!(report.has_code("hallucinated-call"));
     }
 

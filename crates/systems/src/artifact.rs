@@ -1,24 +1,118 @@
-//! From generated artifact to executable workflow specification.
+//! The per-system entry points: each is one `match` on
+//! [`WorkflowSystemId`].
 //!
-//! The execution-validated evaluation needs one entry point that takes a
-//! *generated* artifact for any of the five systems and recovers the
-//! neutral [`WorkflowSpec`] it describes, reporting the same diagnostics
-//! the system's validator produces along the way.  For the
-//! structural-configuration systems (Wilkins, ADIOS2, Henson) the artifact
-//! is a configuration file; for Parsl and PyCOMPSs — whose configuration
-//! files describe the execution environment, not the graph — it is the
-//! annotated task code, whose app decorators and parameter directions carry
-//! the workflow structure instead.
+//! [`validate_config`] and [`validate_task_code`] report what a generated
+//! configuration or annotated task code gets wrong (Tables 4 and 6),
+//! [`generate_config`] renders a system's reference configuration for a
+//! spec, and [`workflow_spec_from_config`] recovers the neutral
+//! [`WorkflowSpec`] a generated artifact describes, for the
+//! execution-validated evaluation.  For the structural-configuration
+//! systems (Wilkins, ADIOS2, Henson) that artifact is a configuration file;
+//! for Parsl and PyCOMPSs — whose configuration files describe the
+//! execution environment, not the graph — it is the annotated task code,
+//! whose app decorators and parameter directions carry the workflow
+//! structure instead.
 
+use wfspeak_codemodel::lexer::Language;
 use wfspeak_corpus::WorkflowSystemId;
 
 use crate::adios2::Adios2Config;
-use crate::diagnostics::{Diagnostic, ValidationReport};
+use crate::annotate;
+use crate::api::catalog_for;
+use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
 use crate::henson::HensonScript;
-use crate::parsl::ParslScript;
+use crate::parsl::{ParslScript, REDUNDANT_FOR_BENCHMARK};
 use crate::pycompss::PyCompssScript;
 use crate::spec::WorkflowSpec;
 use crate::wilkins::WilkinsConfig;
+
+/// Validate a workflow configuration file for `system`.  Systems whose
+/// configuration describes the execution environment rather than the
+/// workflow structure (Parsl, PyCOMPSs) report that as an informational
+/// diagnostic.
+pub fn validate_config(system: WorkflowSystemId, config: &str) -> ValidationReport {
+    match system {
+        WorkflowSystemId::Wilkins => WilkinsConfig::parse(config).1,
+        WorkflowSystemId::Adios2 => Adios2Config::parse(config).1,
+        WorkflowSystemId::Henson => HensonScript::parse(config).1,
+        WorkflowSystemId::Parsl => info_only(
+            DiagnosticKind::EnvironmentConfig,
+            "Parsl configuration files describe the execution environment, not the workflow \
+             structure; the configuration experiment does not apply",
+        ),
+        WorkflowSystemId::PyCompss => info_only(
+            DiagnosticKind::EnvironmentConfig,
+            "PyCOMPSs configuration (project/resources XML) describes the execution environment, \
+             not the workflow structure; the configuration experiment does not apply",
+        ),
+    }
+}
+
+/// Validate an annotated task code for `system`: required calls present,
+/// no hallucinated API functions, no redundant boilerplate.
+pub fn validate_task_code(system: WorkflowSystemId, code: &str) -> ValidationReport {
+    match system {
+        WorkflowSystemId::Adios2 | WorkflowSystemId::Henson => {
+            annotate::validate_task_code(&catalog_for(system), code, Language::C, &[])
+        }
+        WorkflowSystemId::Parsl => {
+            let mut report = annotate::validate_task_code(
+                &catalog_for(system),
+                code,
+                Language::Python,
+                REDUNDANT_FOR_BENCHMARK,
+            );
+            // A Parsl app without an import of parsl cannot run.
+            if !code.contains("import parsl") && !code.contains("from parsl") {
+                report.push(Diagnostic::error(
+                    DiagnosticKind::MissingImport,
+                    "the task code never imports parsl",
+                ));
+            }
+            report
+        }
+        WorkflowSystemId::PyCompss => {
+            let mut report =
+                annotate::validate_task_code(&catalog_for(system), code, Language::Python, &[]);
+            if !code.contains("pycompss") {
+                report.push(Diagnostic::error(
+                    DiagnosticKind::MissingImport,
+                    "the task code never imports the pycompss API modules",
+                ));
+            }
+            // File-based producer/consumer exchange needs a parameter direction.
+            if !code.contains("FILE_OUT") && !code.contains("FILE_INOUT") {
+                report.push(Diagnostic::warning(
+                    DiagnosticKind::MissingDirection,
+                    "no FILE_OUT/FILE_INOUT parameter direction declared for the produced file",
+                ));
+            }
+            report
+        }
+        WorkflowSystemId::Wilkins => info_only(
+            DiagnosticKind::NoAnnotationNeeded,
+            "Wilkins does not require modifications to task codes",
+        ),
+    }
+}
+
+/// Generate `system`'s reference configuration file for `spec`; `None` for
+/// the systems without a structural configuration file (Parsl, PyCOMPSs).
+pub fn generate_config(system: WorkflowSystemId, spec: &WorkflowSpec) -> Option<String> {
+    match system {
+        WorkflowSystemId::Wilkins => Some(WilkinsConfig::from_spec(spec).render()),
+        WorkflowSystemId::Adios2 => Some(Adios2Config::render_for_spec(spec)),
+        WorkflowSystemId::Henson => Some(HensonScript::render_for_spec(spec)),
+        WorkflowSystemId::Parsl | WorkflowSystemId::PyCompss => None,
+    }
+}
+
+/// A valid report holding one informational finding.
+fn info_only(kind: DiagnosticKind, message: &str) -> ValidationReport {
+    let mut report = ValidationReport::valid();
+    report.push(Diagnostic::info(kind, message));
+    report
+}
 
 /// Parse a generated artifact for `system` into a [`WorkflowSpec`].
 ///

@@ -5,14 +5,8 @@
 //! processes to puppets.  Task codes use the `henson_*` data API
 //! (`henson_save_*`, `henson_load_*`, `henson_yield`).
 
-use wfspeak_codemodel::lexer::Language;
-use wfspeak_corpus::WorkflowSystemId;
-
-use crate::annotate::validate_task_code;
-use crate::api::{catalog_for, ApiCatalog};
 use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
 use crate::spec::{DataRole, WorkflowSpec};
-use crate::WorkflowSystem;
 
 /// One puppet definition: `name = ./library.so args...`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -266,53 +260,10 @@ impl HensonScript {
     }
 }
 
-/// The Henson system model.
-#[derive(Debug)]
-pub struct HensonSystem {
-    api: ApiCatalog,
-}
-
-impl HensonSystem {
-    /// Create the model.
-    pub fn new() -> Self {
-        HensonSystem {
-            api: catalog_for(WorkflowSystemId::Henson),
-        }
-    }
-}
-
-impl Default for HensonSystem {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WorkflowSystem for HensonSystem {
-    fn id(&self) -> WorkflowSystemId {
-        WorkflowSystemId::Henson
-    }
-
-    fn api(&self) -> &ApiCatalog {
-        &self.api
-    }
-
-    fn validate_config(&self, config: &str) -> ValidationReport {
-        let (_, report) = HensonScript::parse(config);
-        report
-    }
-
-    fn validate_task_code(&self, code: &str) -> ValidationReport {
-        validate_task_code(&self.api, code, Language::C, &[])
-    }
-
-    fn generate_config(&self, spec: &WorkflowSpec) -> Option<String> {
-        Some(HensonScript::render_for_spec(spec))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{validate_task_code, WorkflowSystemId};
     use wfspeak_corpus::references::{annotated, configs};
 
     #[test]
@@ -400,8 +351,7 @@ mod tests {
 
     #[test]
     fn reference_annotation_validates() {
-        let system = HensonSystem::new();
-        let report = system.validate_task_code(annotated::HENSON_PRODUCER);
+        let report = validate_task_code(WorkflowSystemId::Henson, annotated::HENSON_PRODUCER);
         assert!(report.is_valid(), "{report}");
     }
 
@@ -409,7 +359,6 @@ mod tests {
     fn gemini_style_hallucinations_from_table4_detected() {
         // Table 4 (right): Gemini-2.5-Pro invents henson_init/henson_rank/
         // henson_size/henson_data_init/henson_save/henson_finalize.
-        let system = HensonSystem::new();
         let code = r#"
 int main(int argc, char** argv) {
     henson_init(argc, argv, MPI_COMM_WORLD);
@@ -422,7 +371,7 @@ int main(int argc, char** argv) {
     return 0;
 }
 "#;
-        let report = system.validate_task_code(code);
+        let report = validate_task_code(WorkflowSystemId::Henson, code);
         assert!(report.has_code("hallucinated-call"));
         assert!(report.with_code("hallucinated-call").count() >= 4);
     }

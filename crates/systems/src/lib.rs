@@ -19,8 +19,9 @@
 //! * a rule-based **translator** between coupled system pairs
 //!   (ADIOS2 ↔ Henson, Parsl ↔ PyCOMPSs).
 //!
-//! The [`WorkflowSystem`] trait ties these together so the evaluation
-//! harness can treat all five systems uniformly.
+//! The evaluation harness treats all five systems uniformly through
+//! [`validate_config`], [`validate_task_code`], [`generate_config`] and
+//! [`workflow_spec_from_config`], each one `match` on [`WorkflowSystemId`].
 //!
 //! # Quickstart
 //!
@@ -49,76 +50,23 @@ pub mod translate;
 pub mod wilkins;
 
 pub use api::ApiCatalog;
-pub use artifact::workflow_spec_from_config;
+pub use artifact::{
+    generate_config, validate_config, validate_task_code, workflow_spec_from_config,
+};
 pub use diagnostics::{Diagnostic, DiagnosticKind, Severity, ValidationReport};
 pub use spec::{DataRequirement, DataRole, TaskSpec, WorkflowSpec};
 pub use wfspeak_corpus::WorkflowSystemId;
-
-/// Uniform interface over the five workflow-system models.
-pub trait WorkflowSystem {
-    /// Which system this is.
-    fn id(&self) -> WorkflowSystemId;
-
-    /// The system's API catalogue (calls, decorators, config fields).
-    fn api(&self) -> &ApiCatalog;
-
-    /// Validate a workflow configuration file for this system.  Systems
-    /// whose configuration describes the execution environment rather than
-    /// the workflow structure (Parsl, PyCOMPSs) report that as an
-    /// informational diagnostic.
-    fn validate_config(&self, config: &str) -> ValidationReport;
-
-    /// Validate an annotated task code for this system (required calls
-    /// present, no hallucinated API functions, no redundant boilerplate).
-    fn validate_task_code(&self, code: &str) -> ValidationReport;
-
-    /// Generate the reference configuration file for a workflow spec, if the
-    /// system has a structural configuration file.
-    fn generate_config(&self, spec: &WorkflowSpec) -> Option<String>;
-}
-
-/// Instantiate the model for a given system id.
-pub fn system_for(id: WorkflowSystemId) -> Box<dyn WorkflowSystem + Send + Sync> {
-    match id {
-        WorkflowSystemId::Adios2 => Box::new(adios2::Adios2System::new()),
-        WorkflowSystemId::Henson => Box::new(henson::HensonSystem::new()),
-        WorkflowSystemId::Parsl => Box::new(parsl::ParslSystem::new()),
-        WorkflowSystemId::PyCompss => Box::new(pycompss::PyCompssSystem::new()),
-        WorkflowSystemId::Wilkins => Box::new(wilkins::WilkinsSystem::new()),
-    }
-}
-
-/// All five system models.
-pub fn all_systems() -> Vec<Box<dyn WorkflowSystem + Send + Sync>> {
-    WorkflowSystemId::ALL
-        .iter()
-        .map(|id| system_for(*id))
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn system_for_returns_matching_ids() {
-        for id in WorkflowSystemId::ALL {
-            assert_eq!(system_for(id).id(), id);
-        }
-    }
-
-    #[test]
-    fn all_systems_has_five_entries() {
-        assert_eq!(all_systems().len(), 5);
-    }
-
-    #[test]
     fn reference_configs_validate_cleanly() {
         use wfspeak_corpus::references::configuration_reference;
         for id in WorkflowSystemId::configuration_systems() {
-            let system = system_for(id);
             let reference = configuration_reference(id).unwrap();
-            let report = system.validate_config(reference);
+            let report = validate_config(id, reference);
             assert!(
                 report.is_valid(),
                 "{id} reference config should validate, got: {report:?}"
@@ -130,9 +78,8 @@ mod tests {
     fn reference_annotations_validate_cleanly() {
         use wfspeak_corpus::references::annotation_reference;
         for id in WorkflowSystemId::annotation_systems() {
-            let system = system_for(id);
             let reference = annotation_reference(id).unwrap();
-            let report = system.validate_task_code(reference);
+            let report = validate_task_code(id, reference);
             assert!(
                 report.is_valid(),
                 "{id} reference annotation should validate, got: {report:?}"
@@ -144,8 +91,7 @@ mod tests {
     fn generated_configs_match_generation_support() {
         let spec = WorkflowSpec::paper_3node();
         for id in WorkflowSystemId::ALL {
-            let system = system_for(id);
-            let config = system.generate_config(&spec);
+            let config = generate_config(id, &spec);
             if WorkflowSystemId::configuration_systems().contains(&id) {
                 assert!(config.is_some(), "{id} should generate a config");
             } else {

@@ -12,18 +12,12 @@
 
 use std::collections::BTreeSet;
 
-use wfspeak_codemodel::lexer::Language;
-use wfspeak_corpus::WorkflowSystemId;
-
-use crate::annotate::validate_task_code;
-use crate::api::{catalog_for, ApiCatalog};
 use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
 use crate::pyflow::{
     dataset_from_path, param_direction, scan_functions, scan_invocations, string_literal,
     PyInvocation,
 };
 use crate::spec::{DataRole, TaskSpec, WorkflowSpec};
-use crate::WorkflowSystem;
 
 /// Decorator names that mark a function as a Parsl app (task).
 const APP_DECORATORS: &[&str] = &["python_app", "bash_app", "join_app"];
@@ -217,80 +211,21 @@ pub const REDUNDANT_FOR_BENCHMARK: &[&str] = &[
     "WorkQueueExecutor",
 ];
 
-/// The Parsl system model.
-#[derive(Debug)]
-pub struct ParslSystem {
-    api: ApiCatalog,
-}
-
-impl ParslSystem {
-    /// Create the model.
-    pub fn new() -> Self {
-        ParslSystem {
-            api: catalog_for(WorkflowSystemId::Parsl),
-        }
-    }
-}
-
-impl Default for ParslSystem {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WorkflowSystem for ParslSystem {
-    fn id(&self) -> WorkflowSystemId {
-        WorkflowSystemId::Parsl
-    }
-
-    fn api(&self) -> &ApiCatalog {
-        &self.api
-    }
-
-    fn validate_config(&self, _config: &str) -> ValidationReport {
-        let mut report = ValidationReport::valid();
-        report.push(Diagnostic::info(
-            DiagnosticKind::EnvironmentConfig,
-            "Parsl configuration files describe the execution environment, not the workflow \
-             structure; the configuration experiment does not apply",
-        ));
-        report
-    }
-
-    fn validate_task_code(&self, code: &str) -> ValidationReport {
-        let mut report =
-            validate_task_code(&self.api, code, Language::Python, REDUNDANT_FOR_BENCHMARK);
-        // A Parsl app without an import of parsl cannot run.
-        if !code.contains("import parsl") && !code.contains("from parsl") {
-            report.push(Diagnostic::error(
-                DiagnosticKind::MissingImport,
-                "the task code never imports parsl",
-            ));
-        }
-        report
-    }
-
-    fn generate_config(&self, _spec: &WorkflowSpec) -> Option<String> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{generate_config, validate_config, validate_task_code, WorkflowSystemId};
     use wfspeak_corpus::references::annotated;
 
     #[test]
     fn reference_annotation_validates_without_warnings() {
-        let system = ParslSystem::new();
-        let report = system.validate_task_code(annotated::PARSL_PRODUCER);
+        let report = validate_task_code(WorkflowSystemId::Parsl, annotated::PARSL_PRODUCER);
         assert!(report.is_valid(), "{report}");
         assert_eq!(report.warning_count(), 0);
     }
 
     #[test]
     fn redundant_executor_config_warned() {
-        let system = ParslSystem::new();
         let code = r#"
 import parsl
 from parsl import python_app
@@ -305,16 +240,15 @@ def produce(n, outfile):
 
 produce(50, "out.txt").result()
 "#;
-        let report = system.validate_task_code(code);
+        let report = validate_task_code(WorkflowSystemId::Parsl, code);
         assert!(report.is_valid(), "{report}");
         assert!(report.has_code("redundant-call"));
     }
 
     #[test]
     fn missing_decorator_and_load_flagged() {
-        let system = ParslSystem::new();
         let code = "import parsl\n\ndef produce(n):\n    return n\n\nproduce(5)\n";
-        let report = system.validate_task_code(code);
+        let report = validate_task_code(WorkflowSystemId::Parsl, code);
         assert!(!report.is_valid());
         let missing: Vec<String> = report
             .with_code("missing-call")
@@ -326,28 +260,23 @@ produce(50, "out.txt").result()
 
     #[test]
     fn missing_import_flagged() {
-        let system = ParslSystem::new();
         let code = "@python_app\ndef produce(n):\n    return n\n\nproduce(5).result()\nload()\n";
-        let report = system.validate_task_code(code);
+        let report = validate_task_code(WorkflowSystemId::Parsl, code);
         assert!(report.has_code("missing-import"));
     }
 
     #[test]
     fn config_experiment_not_applicable() {
-        let system = ParslSystem::new();
-        let report = system.validate_config("executors: []");
+        let report = validate_config(WorkflowSystemId::Parsl, "executors: []");
         assert!(report.is_valid());
         assert!(report.has_code("environment-config"));
-        assert!(system
-            .generate_config(&WorkflowSpec::paper_3node())
-            .is_none());
+        assert!(generate_config(WorkflowSystemId::Parsl, &WorkflowSpec::paper_3node()).is_none());
     }
 
     #[test]
     fn pycompss_style_code_fails_parsl_validation() {
-        let system = ParslSystem::new();
         let code = "from pycompss.api.task import task\n\n@task(returns=1)\ndef produce(n):\n    return n\n";
-        let report = system.validate_task_code(code);
+        let report = validate_task_code(WorkflowSystemId::Parsl, code);
         assert!(!report.is_valid());
     }
 

@@ -13,16 +13,10 @@
 
 use std::collections::BTreeMap;
 
-use wfspeak_codemodel::lexer::Language;
-use wfspeak_corpus::WorkflowSystemId;
-
-use crate::annotate::validate_task_code;
-use crate::api::{catalog_for, ApiCatalog};
 use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
 use crate::parsl::dataflow_for;
 use crate::pyflow::{scan_functions, scan_invocations, PyInvocation};
 use crate::spec::{DataRole, TaskSpec, WorkflowSpec};
-use crate::WorkflowSystem;
 
 /// Decorator names that mark a function as a PyCOMPSs task.
 const TASK_DECORATORS: &[&str] = &["task", "binary", "mpi", "multinode"];
@@ -153,78 +147,15 @@ impl PyCompssScript {
     }
 }
 
-/// The PyCOMPSs system model.
-#[derive(Debug)]
-pub struct PyCompssSystem {
-    api: ApiCatalog,
-}
-
-impl PyCompssSystem {
-    /// Create the model.
-    pub fn new() -> Self {
-        PyCompssSystem {
-            api: catalog_for(WorkflowSystemId::PyCompss),
-        }
-    }
-}
-
-impl Default for PyCompssSystem {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WorkflowSystem for PyCompssSystem {
-    fn id(&self) -> WorkflowSystemId {
-        WorkflowSystemId::PyCompss
-    }
-
-    fn api(&self) -> &ApiCatalog {
-        &self.api
-    }
-
-    fn validate_config(&self, _config: &str) -> ValidationReport {
-        let mut report = ValidationReport::valid();
-        report.push(Diagnostic::info(
-            DiagnosticKind::EnvironmentConfig,
-            "PyCOMPSs configuration (project/resources XML) describes the execution environment, \
-             not the workflow structure; the configuration experiment does not apply",
-        ));
-        report
-    }
-
-    fn validate_task_code(&self, code: &str) -> ValidationReport {
-        let mut report = validate_task_code(&self.api, code, Language::Python, &[]);
-        if !code.contains("pycompss") {
-            report.push(Diagnostic::error(
-                DiagnosticKind::MissingImport,
-                "the task code never imports the pycompss API modules",
-            ));
-        }
-        // File-based producer/consumer exchange needs a parameter direction.
-        if !code.contains("FILE_OUT") && !code.contains("FILE_INOUT") {
-            report.push(Diagnostic::warning(
-                DiagnosticKind::MissingDirection,
-                "no FILE_OUT/FILE_INOUT parameter direction declared for the produced file",
-            ));
-        }
-        report
-    }
-
-    fn generate_config(&self, _spec: &WorkflowSpec) -> Option<String> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{generate_config, validate_config, validate_task_code, WorkflowSystemId};
     use wfspeak_corpus::references::annotated;
 
     #[test]
     fn reference_annotation_validates() {
-        let system = PyCompssSystem::new();
-        let report = system.validate_task_code(annotated::PYCOMPSS_PRODUCER);
+        let report = validate_task_code(WorkflowSystemId::PyCompss, annotated::PYCOMPSS_PRODUCER);
         assert!(report.is_valid(), "{report}");
     }
 
@@ -232,7 +163,6 @@ mod tests {
     fn missing_wait_on_file_flagged() {
         // The paper: LLaMA-3.3-70B omits compss_wait_on_file, required for
         // file-based synchronisation.
-        let system = PyCompssSystem::new();
         let code = r#"
 from pycompss.api.task import task
 from pycompss.api.parameter import FILE_OUT
@@ -243,7 +173,7 @@ def produce(n, outfile):
 
 produce(50, "out.txt")
 "#;
-        let report = system.validate_task_code(code);
+        let report = validate_task_code(WorkflowSystemId::PyCompss, code);
         assert!(!report.is_valid());
         assert!(report
             .with_code("missing-call")
@@ -252,7 +182,6 @@ produce(50, "out.txt")
 
     #[test]
     fn hallucinated_compss_call_flagged() {
-        let system = PyCompssSystem::new();
         let code = r#"
 from pycompss.api.task import task
 from pycompss.api.parameter import FILE_OUT
@@ -265,36 +194,33 @@ produce(50, "out.txt")
 compss_wait_on_file("out.txt")
 compss_sync_all()
 "#;
-        let report = system.validate_task_code(code);
+        let report = validate_task_code(WorkflowSystemId::PyCompss, code);
         assert!(report.has_code("hallucinated-call"));
     }
 
     #[test]
     fn missing_import_flagged() {
-        let system = PyCompssSystem::new();
         let code = "@task(returns=1)\ndef produce(n):\n    return n\n\nproduce(5)\ncompss_wait_on_file(\"o\")\n";
-        let report = system.validate_task_code(code);
+        let report = validate_task_code(WorkflowSystemId::PyCompss, code);
         assert!(report.has_code("missing-import"));
     }
 
     #[test]
     fn missing_file_direction_warned() {
-        let system = PyCompssSystem::new();
         let code = "from pycompss.api.task import task\nfrom pycompss.api.api import compss_wait_on_file\n\n@task(returns=1)\ndef produce(n, outfile):\n    return outfile\n\nproduce(5, \"o\")\ncompss_wait_on_file(\"o\")\n";
-        let report = system.validate_task_code(code);
+        let report = validate_task_code(WorkflowSystemId::PyCompss, code);
         assert!(report.is_valid(), "{report}");
         assert!(report.has_code("missing-direction"));
     }
 
     #[test]
     fn config_experiment_not_applicable() {
-        let system = PyCompssSystem::new();
-        assert!(system
-            .validate_config("anything")
-            .has_code("environment-config"));
-        assert!(system
-            .generate_config(&WorkflowSpec::paper_3node())
-            .is_none());
+        assert!(
+            validate_config(WorkflowSystemId::PyCompss, "anything").has_code("environment-config")
+        );
+        assert!(
+            generate_config(WorkflowSystemId::PyCompss, &WorkflowSpec::paper_3node()).is_none()
+        );
     }
 
     #[test]

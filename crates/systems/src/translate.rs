@@ -274,7 +274,7 @@ fn annotate_python_pycompss(code: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system_for;
+    use crate::validate_task_code;
     use wfspeak_codemodel::calls::call_names;
     use wfspeak_codemodel::lexer::Language;
     use wfspeak_corpus::references::annotated;
@@ -298,28 +298,28 @@ mod tests {
     #[test]
     fn annotate_bare_c_producer_for_henson_validates() {
         let annotated_code = annotate(task_codes::C_PRODUCER, WorkflowSystemId::Henson).unwrap();
-        let report = system_for(WorkflowSystemId::Henson).validate_task_code(&annotated_code);
+        let report = validate_task_code(WorkflowSystemId::Henson, &annotated_code);
         assert!(report.is_valid(), "{report}\n{annotated_code}");
     }
 
     #[test]
     fn annotate_bare_c_producer_for_adios2_validates() {
         let annotated_code = annotate(task_codes::C_PRODUCER, WorkflowSystemId::Adios2).unwrap();
-        let report = system_for(WorkflowSystemId::Adios2).validate_task_code(&annotated_code);
+        let report = validate_task_code(WorkflowSystemId::Adios2, &annotated_code);
         assert!(report.is_valid(), "{report}\n{annotated_code}");
     }
 
     #[test]
     fn annotate_bare_python_producer_for_parsl_validates() {
         let annotated_code = annotate(task_codes::PY_PRODUCER, WorkflowSystemId::Parsl).unwrap();
-        let report = system_for(WorkflowSystemId::Parsl).validate_task_code(&annotated_code);
+        let report = validate_task_code(WorkflowSystemId::Parsl, &annotated_code);
         assert!(report.is_valid(), "{report}\n{annotated_code}");
     }
 
     #[test]
     fn annotate_bare_python_producer_for_pycompss_validates() {
         let annotated_code = annotate(task_codes::PY_PRODUCER, WorkflowSystemId::PyCompss).unwrap();
-        let report = system_for(WorkflowSystemId::PyCompss).validate_task_code(&annotated_code);
+        let report = validate_task_code(WorkflowSystemId::PyCompss, &annotated_code);
         assert!(report.is_valid(), "{report}\n{annotated_code}");
     }
 
@@ -340,7 +340,7 @@ mod tests {
         let names = call_names(&translated, Language::C);
         assert!(names.contains(&"henson_save_int".to_string()));
         assert!(names.contains(&"henson_yield".to_string()));
-        let report = system_for(WorkflowSystemId::Henson).validate_task_code(&translated);
+        let report = validate_task_code(WorkflowSystemId::Henson, &translated);
         assert!(report.is_valid(), "{report}\n{translated}");
     }
 
@@ -353,7 +353,7 @@ mod tests {
         )
         .unwrap();
         assert!(!translated.contains("henson"));
-        let report = system_for(WorkflowSystemId::Adios2).validate_task_code(&translated);
+        let report = validate_task_code(WorkflowSystemId::Adios2, &translated);
         assert!(report.is_valid(), "{report}\n{translated}");
     }
 
@@ -366,7 +366,7 @@ mod tests {
         )
         .unwrap();
         assert!(!translated.contains("parsl"));
-        let report = system_for(WorkflowSystemId::PyCompss).validate_task_code(&translated);
+        let report = validate_task_code(WorkflowSystemId::PyCompss, &translated);
         assert!(report.is_valid(), "{report}\n{translated}");
     }
 
@@ -379,7 +379,7 @@ mod tests {
         )
         .unwrap();
         assert!(!translated.contains("compss"));
-        let report = system_for(WorkflowSystemId::Parsl).validate_task_code(&translated);
+        let report = validate_task_code(WorkflowSystemId::Parsl, &translated);
         assert!(report.is_valid(), "{report}\n{translated}");
     }
 

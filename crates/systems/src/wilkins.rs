@@ -12,7 +12,6 @@ use wfspeak_wyaml::{parse_document, EntryRef, Node, ValueRef};
 use crate::api::{catalog_for, ApiCatalog};
 use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
 use crate::spec::{DataRole, TaskSpec, WorkflowSpec};
-use crate::WorkflowSystem;
 
 /// One dataset entry under an inport/outport.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -438,58 +437,10 @@ fn parse_ports(
     ports
 }
 
-/// The Wilkins system model.
-#[derive(Debug)]
-pub struct WilkinsSystem {
-    api: ApiCatalog,
-}
-
-impl WilkinsSystem {
-    /// Create the model.
-    pub fn new() -> Self {
-        WilkinsSystem {
-            api: catalog_for(WorkflowSystemId::Wilkins),
-        }
-    }
-}
-
-impl Default for WilkinsSystem {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WorkflowSystem for WilkinsSystem {
-    fn id(&self) -> WorkflowSystemId {
-        WorkflowSystemId::Wilkins
-    }
-
-    fn api(&self) -> &ApiCatalog {
-        &self.api
-    }
-
-    fn validate_config(&self, config: &str) -> ValidationReport {
-        let (_, report) = WilkinsConfig::parse(config);
-        report
-    }
-
-    fn validate_task_code(&self, _code: &str) -> ValidationReport {
-        let mut report = ValidationReport::valid();
-        report.push(Diagnostic::info(
-            DiagnosticKind::NoAnnotationNeeded,
-            "Wilkins does not require modifications to task codes",
-        ));
-        report
-    }
-
-    fn generate_config(&self, spec: &WorkflowSpec) -> Option<String> {
-        Some(WilkinsConfig::from_spec(spec).render())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{generate_config, validate_task_code};
     use wfspeak_corpus::references::configs::{WILKINS_2NODE, WILKINS_3NODE};
 
     #[test]
@@ -516,14 +467,11 @@ mod tests {
 
     #[test]
     fn generated_config_matches_reference() {
-        let system = WilkinsSystem::new();
-        let generated = system
-            .generate_config(&WorkflowSpec::paper_3node())
-            .unwrap();
+        let generated =
+            generate_config(WorkflowSystemId::Wilkins, &WorkflowSpec::paper_3node()).unwrap();
         assert_eq!(generated, WILKINS_3NODE);
-        let generated2 = system
-            .generate_config(&WorkflowSpec::fewshot_2node())
-            .unwrap();
+        let generated2 =
+            generate_config(WorkflowSystemId::Wilkins, &WorkflowSpec::fewshot_2node()).unwrap();
         assert_eq!(generated2, WILKINS_2NODE);
     }
 
@@ -610,8 +558,7 @@ mod tests {
 
     #[test]
     fn validate_task_code_reports_no_changes_needed() {
-        let system = WilkinsSystem::new();
-        let report = system.validate_task_code("int main() { return 0; }");
+        let report = validate_task_code(WorkflowSystemId::Wilkins, "int main() { return 0; }");
         assert!(report.is_valid());
         assert!(report.has_code("no-annotation-needed"));
     }

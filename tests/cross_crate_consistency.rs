@@ -9,18 +9,18 @@ use wfspeak_metrics::{BleuScorer, ChrfScorer, Scorer};
 use wfspeak_runtime::{Engine, EngineConfig};
 use wfspeak_systems::translate::{strip_annotations, translate};
 use wfspeak_systems::wilkins::WilkinsConfig;
-use wfspeak_systems::{system_for, WorkflowSpec};
+use wfspeak_systems::{generate_config, validate_config, validate_task_code, WorkflowSpec};
 
 #[test]
 fn references_validate_against_their_own_system_models() {
     for system in WorkflowSystemId::configuration_systems() {
         let reference = configuration_reference(system).unwrap();
-        let report = system_for(system).validate_config(reference);
+        let report = validate_config(system, reference);
         assert!(report.is_valid(), "{system} config reference: {report}");
     }
     for system in WorkflowSystemId::annotation_systems() {
         let reference = annotation_reference(system).unwrap();
-        let report = system_for(system).validate_task_code(reference);
+        let report = validate_task_code(system, reference);
         assert!(report.is_valid(), "{system} annotation reference: {report}");
     }
 }
@@ -33,7 +33,7 @@ fn generated_configs_score_perfectly_against_corpus_references() {
     let bleu = BleuScorer::default();
     let chrf = ChrfScorer::default();
     for system in WorkflowSystemId::configuration_systems() {
-        let generated = system_for(system).generate_config(&spec).unwrap();
+        let generated = generate_config(system, &spec).unwrap();
         let reference = configuration_reference(system).unwrap();
         assert!(
             (bleu.score(&generated, reference) - 100.0).abs() < 1e-6,
@@ -51,7 +51,7 @@ fn rule_based_translation_validates_for_every_paper_pair() {
     for (source, target) in wfspeak_corpus::translation_pairs() {
         let source_code = annotation_reference(source).unwrap();
         let translated = translate(source_code, source, target).unwrap();
-        let report = system_for(target).validate_task_code(&translated);
+        let report = validate_task_code(target, &translated);
         assert!(report.is_valid(), "{source} -> {target}: {report}");
     }
 }
@@ -116,9 +116,7 @@ fn generated_wilkins_config_for_arbitrary_specs_round_trips_and_runs() {
         .with_task(TaskSpec::new("sim", 4).produces("field").produces("mesh"))
         .with_task(TaskSpec::new("viz", 2).consumes("field"))
         .with_task(TaskSpec::new("stats", 1).consumes("mesh").consumes("field"));
-    let config_text = system_for(WorkflowSystemId::Wilkins)
-        .generate_config(&spec)
-        .unwrap();
+    let config_text = generate_config(WorkflowSystemId::Wilkins, &spec).unwrap();
     let (parsed, report) = WilkinsConfig::parse(&config_text);
     assert!(report.is_valid(), "{report}");
     let round_tripped = parsed.unwrap().to_spec("custom");

@@ -26,17 +26,21 @@ use wfspeak::corpus::{translation_pairs, WorkflowSystemId};
 use wfspeak::llm::{CompletionRequest, LlmClient, SamplingParams, SimulatedLlm};
 use wfspeak::runtime::{Engine, EngineConfig, EventKind};
 use wfspeak::systems::topo::bench_suite;
-use wfspeak::systems::{system_for, ValidationReport, WorkflowSpec};
+use wfspeak::systems::{
+    generate_config, validate_config, validate_task_code, ValidationReport, WorkflowSpec,
+};
 
 /// The configuration and the task-code report of `text` under `system`.
 fn validate(system: WorkflowSystemId, text: &str) -> (ValidationReport, ValidationReport) {
-    let model = system_for(system);
-    (model.validate_config(text), model.validate_task_code(text))
+    (
+        validate_config(system, text),
+        validate_task_code(system, text),
+    )
 }
 
 /// The configuration `system` generates for `spec`, if it has one.
 fn generate(system: WorkflowSystemId, spec: &WorkflowSpec) -> Option<String> {
-    system_for(system).generate_config(spec)
+    generate_config(system, spec)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
