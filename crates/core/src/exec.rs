@@ -776,6 +776,44 @@ mod tests {
     }
 
     #[test]
+    fn henson_group_sizes_past_usize_saturate_into_proc_bounds() {
+        // The producer's two groups sum past `usize::MAX`; a wrapping sum
+        // would give it 1 process and a clean, completed run.
+        let response = "producer = ./producer.so 50 3\nconsumer = ./consumer_grid.so\n\n\
+                        [18446744073709551615] producer\n[2] producer\n[1] consumer\n";
+        let (script, _) = wfspeak_systems::henson::HensonScript::parse(response);
+        assert_eq!(script.unwrap().total_procs(), usize::MAX);
+        let pipeline = ExecutionPipeline::new();
+        let reference = execution_reference(WorkflowSystemId::Henson);
+        let score = pipeline
+            .execute(WorkflowSystemId::Henson, reference, response)
+            .unwrap();
+        assert!(score.parsed && score.valid && !score.validated && !score.ran);
+        assert_eq!(score.runnability, 40.0);
+        assert_eq!(score.failure_kind(), Some("proc-bounds"));
+        assert!(score
+            .error
+            .unwrap()
+            .contains("`producer` requests 18446744073709551615 processes"));
+    }
+
+    #[test]
+    fn wilkins_process_totals_past_usize_saturate_into_proc_bounds() {
+        let task = |name: &str| format!("  - func: {name}\n    nprocs: 9223372036854775807\n");
+        let response = format!("tasks:\n{}{}{}", task("a"), task("b"), task("c"));
+        let pipeline = ExecutionPipeline::new();
+        let score = pipeline
+            .execute(WorkflowSystemId::Wilkins, WILKINS_3NODE, &response)
+            .unwrap();
+        assert!(score.parsed && score.valid && !score.validated);
+        assert_eq!(score.failure_kind(), Some("proc-bounds"));
+        // The total saturates at `usize::MAX`; it does not wrap.
+        assert!(score.diagnostics.iter().any(|d| d.code() == "proc-bounds"
+            && d.message
+                .starts_with("18446744073709551615 total processes")));
+    }
+
+    #[test]
     fn reference_summaries_are_cached_per_system_and_text() {
         let pipeline = ExecutionPipeline::new();
         let reference = configuration_reference(WorkflowSystemId::Wilkins).unwrap();

@@ -56,7 +56,7 @@ impl ExperimentKind {
 
     /// The rows of this experiment's table under one prompt variant, in
     /// paper order.
-    pub(crate) fn rows(&self, variant: PromptVariant) -> Vec<ExperimentRow> {
+    pub fn rows(&self, variant: PromptVariant) -> Vec<ExperimentRow> {
         let row = |label: String, system, reference: Option<&'static str>, prompt| ExperimentRow {
             label,
             system,
@@ -111,7 +111,7 @@ impl std::fmt::Display for ExperimentKind {
 /// configuration systems run the responses to their configuration prompt,
 /// and Parsl and PyCOMPSs those to their annotation prompt, since their
 /// workflow structure lives in annotated task code.
-pub(crate) fn execution_rows(variant: PromptVariant) -> Vec<ExperimentRow> {
+pub fn execution_rows(variant: PromptVariant) -> Vec<ExperimentRow> {
     WorkflowSystemId::execution_systems()
         .into_iter()
         .map(|system| ExperimentRow {
@@ -126,7 +126,7 @@ pub(crate) fn execution_rows(variant: PromptVariant) -> Vec<ExperimentRow> {
 /// One row of a grid: the prompt every model answers once per trial seed,
 /// and what the responses are scored against.
 #[derive(Debug)]
-pub(crate) struct ExperimentRow {
+pub struct ExperimentRow {
     /// Row label: a system name, or `"A to B"` for a translation pair.
     pub label: String,
     /// The system the responses are scored against, whose reference and

@@ -145,7 +145,7 @@ pub fn render_samples(title: &str, samples: &[QualitativeSample]) -> String {
     out
 }
 
-/// A full benchmark run serialised for EXPERIMENTS.md regeneration.
+/// A full benchmark run, serialised as `repro json` prints it.
 #[derive(Debug, Serialize)]
 pub struct FullReport {
     /// Benchmark configuration used.

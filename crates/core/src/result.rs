@@ -101,28 +101,6 @@ impl ExperimentResult {
         out
     }
 
-    /// Render as CSV with both metrics (`metric,row,col,mean,std_err,n`).
-    pub fn render_csv(&self) -> String {
-        let mut out = String::from("metric,row,col,mean,std_err,n\n");
-        for (metric, matrix) in [(Metric::Bleu, &self.bleu), (Metric::Chrf, &self.chrf)] {
-            for row in matrix.rows() {
-                for col in matrix.cols() {
-                    let s = matrix.cell(row, col);
-                    if s.n > 0 {
-                        out.push_str(&format!(
-                            "{},{row},{col},{:.3},{:.3},{}\n",
-                            metric.label(),
-                            s.mean,
-                            s.std_err,
-                            s.n
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// The best-performing model column by overall BLEU (the bold column in
     /// the paper's tables).
     pub fn best_model(&self) -> Option<String> {
@@ -176,13 +154,6 @@ mod tests {
         let r = sample();
         assert_eq!(r.best_model().as_deref(), Some("Gemini-2.5-Pro"));
         assert_eq!(r.best_row().as_deref(), Some("ADIOS2"));
-    }
-
-    #[test]
-    fn csv_contains_both_metrics() {
-        let csv = sample().render_csv();
-        assert!(csv.contains("BLEU,ADIOS2,o3"));
-        assert!(csv.contains("ChrF,Henson,Gemini-2.5-Pro"));
     }
 
     #[test]

@@ -90,11 +90,9 @@ pub trait Scorer {
     fn score(&self, hypothesis: &str, reference: &str) -> f64;
 
     /// Preprocess a reference once so it can be scored against many
-    /// hypotheses via [`Scorer::score_prepared`].
-    ///
-    /// The default implementation performs no precomputation (custom scorers
-    /// keep working unchanged); [`BleuScorer`] and [`ChrfScorer`] override it
-    /// to tokenize, intern and count the reference's n-grams up front.
+    /// hypotheses via [`Scorer::score_prepared`]. [`BleuScorer`] and
+    /// [`ChrfScorer`] tokenize, intern and count the reference's n-grams up
+    /// front.
     ///
     /// ```
     /// use wfspeak_metrics::{BleuScorer, Scorer};
@@ -111,29 +109,13 @@ pub trait Scorer {
     ///     );
     /// }
     /// ```
-    fn prepare(&self, reference: &str) -> PreparedReference {
-        PreparedReference::raw(reference)
-    }
+    fn prepare(&self, reference: &str) -> PreparedReference;
 
     /// Score `hypothesis` against a reference prepared with
     /// [`Scorer::prepare`]. Must return exactly what
-    /// `self.score(hypothesis, original_reference)` would.
-    ///
-    /// The default implementation re-scores from the retained source text;
-    /// the built-in scorers override it with a packed-key fast path.
-    fn score_prepared(&self, hypothesis: &str, reference: &PreparedReference) -> f64 {
-        self.score(hypothesis, reference.source())
-    }
-
-    /// Score a hypothesis against several references, returning the best
-    /// (maximum) score.  The paper uses a single reference per cell, but the
-    /// harness supports multiple acceptable references.
-    fn score_multi(&self, hypothesis: &str, references: &[&str]) -> f64 {
-        references
-            .iter()
-            .map(|r| self.score(hypothesis, r))
-            .fold(0.0_f64, f64::max)
-    }
+    /// `self.score(hypothesis, original_reference)` would; the built-in
+    /// scorers probe the reference's packed-key tables.
+    fn score_prepared(&self, hypothesis: &str, reference: &PreparedReference) -> f64;
 }
 
 /// Which metric to compute; used by the experiment harness when both metrics
@@ -195,48 +177,6 @@ mod tests {
         let text = "henson_save_int(\"t\", t);";
         assert!((Metric::Bleu.score(text, text) - 100.0).abs() < 1e-6);
         assert!((Metric::Chrf.score(text, text) - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn score_multi_takes_best_reference() {
-        struct Fixed;
-        impl Scorer for Fixed {
-            fn name(&self) -> &'static str {
-                "fixed"
-            }
-            fn score(&self, hypothesis: &str, reference: &str) -> f64 {
-                if hypothesis == reference {
-                    100.0
-                } else {
-                    10.0
-                }
-            }
-        }
-        let s = Fixed;
-        assert_eq!(s.score_multi("a", &["b", "a", "c"]), 100.0);
-        assert_eq!(s.score_multi("z", &["b", "a", "c"]), 10.0);
-    }
-
-    #[test]
-    fn custom_scorers_get_working_prepared_defaults() {
-        struct Fixed;
-        impl Scorer for Fixed {
-            fn name(&self) -> &'static str {
-                "fixed"
-            }
-            fn score(&self, hypothesis: &str, reference: &str) -> f64 {
-                if hypothesis == reference {
-                    100.0
-                } else {
-                    10.0
-                }
-            }
-        }
-        let s = Fixed;
-        let prepared = s.prepare("abc");
-        assert_eq!(prepared.source(), "abc");
-        assert_eq!(s.score_prepared("abc", &prepared), 100.0);
-        assert_eq!(s.score_prepared("xyz", &prepared), 10.0);
     }
 
     #[test]

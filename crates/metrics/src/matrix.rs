@@ -151,76 +151,6 @@ impl ScoreMatrix {
             })
             .map(String::as_str)
     }
-
-    /// Merge another matrix's samples into this one (used to average the
-    /// few-shot comparison over systems).
-    pub fn merge(&mut self, other: &ScoreMatrix) {
-        for row in other.rows() {
-            for col in other.cols() {
-                for &s in other.samples(row, col) {
-                    self.push(row, col, s);
-                }
-            }
-        }
-    }
-
-    /// Render as an aligned plain-text table with overall row/column, in the
-    /// same layout as the paper's tables.
-    pub fn render_text(&self, title: &str) -> String {
-        let mut out = String::new();
-        out.push_str(title);
-        out.push('\n');
-        let col_width = 16usize;
-        let row_width = self
-            .rows
-            .iter()
-            .map(|r| r.len())
-            .chain(std::iter::once("Overall".len()))
-            .max()
-            .unwrap_or(8)
-            + 2;
-        out.push_str(&format!("{:row_width$}", ""));
-        for c in &self.cols {
-            out.push_str(&format!("{c:>col_width$}"));
-        }
-        out.push_str(&format!("{:>col_width$}\n", "Overall"));
-        for r in &self.rows {
-            out.push_str(&format!("{r:<row_width$}"));
-            for c in &self.cols {
-                out.push_str(&format!("{:>col_width$}", self.cell(r, c).paper_format()));
-            }
-            out.push_str(&format!(
-                "{:>col_width$}\n",
-                self.row_overall(r).paper_format()
-            ));
-        }
-        out.push_str(&format!("{:<row_width$}", "Overall"));
-        for c in &self.cols {
-            out.push_str(&format!(
-                "{:>col_width$}",
-                self.col_overall(c).paper_format()
-            ));
-        }
-        out.push_str(&format!(
-            "{:>col_width$}\n",
-            self.grand_overall().paper_format()
-        ));
-        out
-    }
-
-    /// Render as CSV (`row,col,mean,std_err,n`).
-    pub fn render_csv(&self) -> String {
-        let mut out = String::from("row,col,mean,std_err,n\n");
-        for r in &self.rows {
-            for c in &self.cols {
-                let s = self.cell(r, c);
-                if s.n > 0 {
-                    out.push_str(&format!("{r},{c},{:.3},{:.3},{}\n", s.mean, s.std_err, s.n));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -287,33 +217,6 @@ mod tests {
         let m = ScoreMatrix::with_labels(&["Henson", "ADIOS2"], &["o3"]);
         assert_eq!(m.rows()[0], "Henson");
         assert_eq!(m.cols()[0], "o3");
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = sample_matrix();
-        let b = sample_matrix();
-        a.merge(&b);
-        assert_eq!(a.samples("ADIOS2", "o3").len(), 4);
-    }
-
-    #[test]
-    fn render_text_contains_all_labels() {
-        let m = sample_matrix();
-        let text = m.render_text("Table X");
-        assert!(text.contains("Table X"));
-        assert!(text.contains("ADIOS2"));
-        assert!(text.contains("Henson"));
-        assert!(text.contains("Overall"));
-        assert!(text.contains("o3"));
-    }
-
-    #[test]
-    fn render_csv_has_header_and_rows() {
-        let m = sample_matrix();
-        let csv = m.render_csv();
-        assert!(csv.starts_with("row,col,mean,std_err,n\n"));
-        assert_eq!(csv.lines().count(), 5);
     }
 
     #[test]

@@ -171,8 +171,6 @@ impl PreparedChrf {
 /// The scorer-specific payload of a [`PreparedReference`].
 #[derive(Debug, Clone)]
 pub(crate) enum PreparedPayload {
-    /// No precomputation: the default for scorers without a fast path.
-    Raw,
     /// BLEU interning + reference n-gram table.
     Bleu(PreparedBleu),
     /// ChrF reference n-gram table.
@@ -193,14 +191,6 @@ pub struct PreparedReference {
 }
 
 impl PreparedReference {
-    /// Wrap a reference with no scorer-specific precomputation.
-    pub fn raw(reference: &str) -> Self {
-        PreparedReference {
-            source: reference.to_owned(),
-            payload: PreparedPayload::Raw,
-        }
-    }
-
     /// The original reference text.
     pub fn source(&self) -> &str {
         &self.source
@@ -212,7 +202,6 @@ impl PreparedReference {
     pub fn heap_bytes(&self) -> usize {
         self.source.capacity()
             + match &self.payload {
-                PreparedPayload::Raw => 0,
                 PreparedPayload::Bleu(bleu) => {
                     bleu.interner.heap_bytes() + bleu.counts.as_ref().map_or(0, |c| c.heap_bytes())
                 }
@@ -325,7 +314,10 @@ mod tests {
 
     #[test]
     fn prepared_reference_keeps_source() {
-        let p = PreparedReference::raw("reference text");
-        assert_eq!(p.source(), "reference text");
+        use crate::{BleuScorer, ChrfScorer, Scorer};
+        let bleu = BleuScorer::default().prepare("reference text");
+        assert_eq!(bleu.source(), "reference text");
+        let chrf = ChrfScorer::default().prepare("reference text");
+        assert_eq!(chrf.source(), "reference text");
     }
 }

@@ -1,9 +1,9 @@
-//! Score statistics: mean, standard deviation, standard error, bootstrap
-//! confidence intervals and rank correlation.
+//! Score statistics: mean, standard deviation, standard error and rank
+//! correlation.
 //!
 //! Every table in the paper reports "mean ± standard error over 5 runs";
-//! [`Summary`] reproduces exactly that. [`spearman_rank_correlation`] backs
-//! the metric-agreement ablation in EXPERIMENTS.md.
+//! [`Summary`] reproduces exactly that. [`spearman_rank_correlation`]
+//! compares how two metrics rank the same cells.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,37 +78,6 @@ impl std::fmt::Display for Summary {
 pub fn pool_summaries(cells: &[Summary]) -> Summary {
     let means: Vec<f64> = cells.iter().map(|s| s.mean).collect();
     Summary::from_samples(&means)
-}
-
-/// Simple deterministic bootstrap confidence interval of the mean.
-///
-/// Resamples `samples` with replacement `resamples` times using a small
-/// multiplicative-congruential generator seeded by `seed`, returning the
-/// `(lower, upper)` bounds of the central `confidence` interval.
-pub fn bootstrap_ci(samples: &[f64], resamples: usize, confidence: f64, seed: u64) -> (f64, f64) {
-    if samples.is_empty() || resamples == 0 {
-        return (0.0, 0.0);
-    }
-    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as usize
-    };
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut sum = 0.0;
-        for _ in 0..samples.len() {
-            sum += samples[next() % samples.len()];
-        }
-        means.push(sum / samples.len() as f64);
-    }
-    means.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let alpha = (1.0 - confidence) / 2.0;
-    let lo_idx = ((means.len() as f64 - 1.0) * alpha).round() as usize;
-    let hi_idx = ((means.len() as f64 - 1.0) * (1.0 - alpha)).round() as usize;
-    (means[lo_idx], means[hi_idx.min(means.len() - 1)])
 }
 
 /// Spearman rank correlation between two equally long score vectors.
@@ -213,28 +182,6 @@ mod tests {
         let pooled = pool_summaries(&[a, b]);
         assert!((pooled.mean - 15.0).abs() < 1e-12);
         assert_eq!(pooled.n, 2);
-    }
-
-    #[test]
-    fn bootstrap_ci_contains_mean_for_tight_data() {
-        let samples = [50.0, 51.0, 49.0, 50.5, 49.5];
-        let (lo, hi) = bootstrap_ci(&samples, 200, 0.95, 7);
-        assert!(lo <= 50.0 && hi >= 50.0, "({lo}, {hi})");
-        assert!(hi - lo < 3.0);
-    }
-
-    #[test]
-    fn bootstrap_ci_empty_is_zero() {
-        assert_eq!(bootstrap_ci(&[], 100, 0.95, 1), (0.0, 0.0));
-    }
-
-    #[test]
-    fn bootstrap_ci_deterministic_for_same_seed() {
-        let samples = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(
-            bootstrap_ci(&samples, 100, 0.9, 42),
-            bootstrap_ci(&samples, 100, 0.9, 42)
-        );
     }
 
     #[test]

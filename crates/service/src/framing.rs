@@ -17,8 +17,6 @@
 
 use std::collections::VecDeque;
 
-use bytes::{Bytes, BytesMut};
-
 /// The longest frame a [`FrameDecoder`] buffers, in bytes before its
 /// newline: 4 MiB.
 pub const MAX_FRAME_BYTES: usize = 4 << 20;
@@ -27,7 +25,7 @@ pub const MAX_FRAME_BYTES: usize = 4 << 20;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// A complete line, without its `\n` and a `\r` before it.
-    Line(Bytes),
+    Line(Vec<u8>),
     /// A line longer than [`MAX_FRAME_BYTES`]; its bytes were dropped.
     TooLarge,
 }
@@ -38,7 +36,7 @@ pub struct FrameDecoder {
     /// Frames complete but not yet taken.
     ready: VecDeque<Frame>,
     /// The unterminated frame so far.
-    partial: BytesMut,
+    partial: Vec<u8>,
     /// The frame in progress passed [`MAX_FRAME_BYTES`]: its remaining
     /// bytes are dropped up to the next newline.
     skipping: bool,
@@ -58,13 +56,13 @@ impl FrameDecoder {
             rest = &rest[at + 1..];
             let frame = if self.partial.is_empty() && !self.skipping && at <= MAX_FRAME_BYTES {
                 // The whole frame is in this chunk: copy it out once.
-                without_cr(line)
+                without_cr(line.to_vec())
             } else {
                 self.extend(line);
                 if std::mem::take(&mut self.skipping) {
                     continue;
                 }
-                without_cr(&std::mem::take(&mut self.partial))
+                without_cr(std::mem::take(&mut self.partial))
             };
             self.ready.push_back(Frame::Line(frame));
         }
@@ -78,7 +76,7 @@ impl FrameDecoder {
             return;
         }
         if self.partial.len() + bytes.len() > MAX_FRAME_BYTES {
-            self.partial = BytesMut::new();
+            self.partial = Vec::new();
             self.skipping = true;
             self.ready.push_back(Frame::TooLarge);
         } else {
@@ -99,7 +97,7 @@ impl FrameDecoder {
     /// immediately before the `\n` is stripped too, matching what
     /// [`BufRead::lines`](std::io::BufRead::lines) hands the blocking
     /// reader.
-    pub fn next_frame(&mut self) -> Option<Bytes> {
+    pub fn next_frame(&mut self) -> Option<Vec<u8>> {
         while let Some(frame) = self.pop() {
             if let Frame::Line(line) = frame {
                 return Some(line);
@@ -115,12 +113,11 @@ impl FrameDecoder {
     /// connection without a trailing newline; the event loop calls this on
     /// EOF so the two servers accept the same byte streams. A tail that
     /// was too large has already been reported.
-    pub fn finish(&mut self) -> Option<Bytes> {
+    pub fn finish(&mut self) -> Option<Vec<u8>> {
         if std::mem::take(&mut self.skipping) || self.partial.is_empty() {
             return None;
         }
-        let tail = std::mem::take(&mut self.partial);
-        Some(without_cr(&tail))
+        Some(without_cr(std::mem::take(&mut self.partial)))
     }
 
     /// Bytes buffered but not yet returned as a frame.
@@ -138,8 +135,11 @@ impl FrameDecoder {
 }
 
 /// A frame's bytes with one trailing `\r` removed.
-fn without_cr(line: &[u8]) -> Bytes {
-    Bytes::copy_from_slice(line.strip_suffix(b"\r").unwrap_or(line))
+fn without_cr(mut line: Vec<u8>) -> Vec<u8> {
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    line
 }
 
 #[cfg(test)]
@@ -221,10 +221,7 @@ mod tests {
         decoder.push(b"before\n");
         decoder.push(&frame);
         decoder.push(b"y\nafter\n");
-        assert_eq!(
-            decoder.pop(),
-            Some(Frame::Line(Bytes::from(&b"before"[..])))
-        );
+        assert_eq!(decoder.pop(), Some(Frame::Line(b"before".to_vec())));
         assert_eq!(decoder.pop(), Some(Frame::TooLarge));
         assert_eq!(&*decoder.next_frame().unwrap(), b"after");
         decoder.push(&frame);

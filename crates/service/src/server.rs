@@ -66,7 +66,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use polling::{Event, Interest, Poller};
 use wfspeak_core::eval::{evaluate_prepared, SystemProfile};
@@ -441,14 +440,14 @@ struct Reply {
 /// separate writes); a disconnect fault is a truncated segment that shuts
 /// the socket down once flushed.
 struct OutSegment {
-    bytes: Bytes,
+    bytes: Vec<u8>,
     shutdown_after: bool,
 }
 
 impl OutSegment {
     fn line(line: String) -> Self {
         OutSegment {
-            bytes: Bytes::from(line.into_bytes()),
+            bytes: line.into_bytes(),
             shutdown_after: false,
         }
     }
@@ -1245,18 +1244,18 @@ fn try_close(conn: &mut Connection) {
 
 /// Expand one reply into write-queue segments, applying its wire fault.
 fn enqueue_reply(conn: &mut Connection, reply: Reply) {
-    let bytes = reply.line.into_bytes();
+    let mut bytes = reply.line.into_bytes();
     match reply.fault {
         // Two segments flushed with separate writes exercise the client's
         // frame reassembly; the bytes on the wire are identical.
         Some(WriteFault::Torn { split_percent }) => {
-            let split = fault_offset(bytes.len(), split_percent);
+            let tail = bytes.split_off(fault_offset(bytes.len(), split_percent));
             conn.out.push_back(OutSegment {
-                bytes: Bytes::copy_from_slice(&bytes[..split]),
+                bytes,
                 shutdown_after: false,
             });
             conn.out.push_back(OutSegment {
-                bytes: Bytes::copy_from_slice(&bytes[split..]),
+                bytes: tail,
                 shutdown_after: false,
             });
         }
@@ -1265,8 +1264,9 @@ fn enqueue_reply(conn: &mut Connection, reply: Reply) {
         Some(WriteFault::Disconnect { truncate_percent }) => {
             let cut =
                 fault_offset(bytes.len(), truncate_percent).min(bytes.len().saturating_sub(1));
+            bytes.truncate(cut);
             conn.out.push_back(OutSegment {
-                bytes: Bytes::copy_from_slice(&bytes[..cut]),
+                bytes,
                 shutdown_after: true,
             });
         }
@@ -1274,7 +1274,7 @@ fn enqueue_reply(conn: &mut Connection, reply: Reply) {
         // reply carrying them here is flushed clean.
         None | Some(WriteFault::Delay { .. }) | Some(WriteFault::Drop) => {
             conn.out.push_back(OutSegment {
-                bytes: Bytes::from(bytes),
+                bytes,
                 shutdown_after: false,
             });
         }

@@ -9,7 +9,7 @@ use wfspeak_wyaml::{parse_document, EntryRef, Node};
 
 use crate::api::catalog_for;
 use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
-use crate::spec::{DataRole, WorkflowSpec};
+use crate::spec::WorkflowSpec;
 
 /// Engine types ADIOS2 actually ships.
 pub const REAL_ENGINES: &[&str] = &[
@@ -262,42 +262,6 @@ impl Adios2Config {
         }
         Ok(spec)
     }
-
-    /// Render the canonical reference layout for a workflow spec: one writer
-    /// IO per produced dataset (with the variable declared) and one reader
-    /// IO per consumed dataset, all over SST for in situ exchange.
-    pub fn render_for_spec(spec: &WorkflowSpec) -> String {
-        let mut out = String::from("---\n");
-        // Writer streams (producer side), in dataset order.
-        for task in &spec.tasks {
-            for req in &task.data {
-                if req.role == DataRole::Produces {
-                    let stream = format!("{}Stream", capitalize(&req.dataset));
-                    out.push_str(&format!("- IO: {stream}\n"));
-                    out.push_str("  Engine:\n    Type: SST\n    RendezvousReaderCount: 1\n    QueueLimit: 1\n");
-                    out.push_str("  Variables:\n");
-                    out.push_str(&format!("    - Variable: {}\n", req.dataset));
-                    let shape = if req.dataset == "grid" {
-                        "[64, 64]"
-                    } else {
-                        "[1024, 3]"
-                    };
-                    out.push_str(&format!("      Shape: {shape}\n      Type: float\n"));
-                }
-            }
-        }
-        // Reader streams (consumer side).
-        for task in &spec.tasks {
-            for req in &task.data {
-                if req.role == DataRole::Consumes {
-                    let stream = format!("{}Reader", capitalize(&req.dataset));
-                    out.push_str(&format!("- IO: {stream}\n"));
-                    out.push_str("  Engine:\n    Type: SST\n");
-                }
-            }
-        }
-        out
-    }
 }
 
 fn capitalize(s: &str) -> String {
@@ -323,20 +287,6 @@ mod tests {
         assert_eq!(config.ios[0].name, "GridStream");
         assert_eq!(config.ios[0].engine, "SST");
         assert_eq!(config.ios[0].variables, vec!["grid"]);
-    }
-
-    #[test]
-    fn generated_config_matches_reference() {
-        let generated = Adios2Config::render_for_spec(&WorkflowSpec::paper_3node());
-        assert_eq!(generated, configs::ADIOS2_3NODE);
-    }
-
-    #[test]
-    fn generated_2node_matches_fewshot_exemplar_structure() {
-        let generated = Adios2Config::render_for_spec(&WorkflowSpec::fewshot_2node());
-        let (config, report) = Adios2Config::parse(&generated);
-        assert!(report.is_valid());
-        assert_eq!(config.unwrap().ios.len(), 2);
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! The per-system entry points: each is one `match` on
 //! [`WorkflowSystemId`].
 //!
-//! [`validate_config`] and [`validate_task_code`] report what a generated
-//! configuration or annotated task code gets wrong (Tables 4 and 6),
-//! [`generate_config`] renders a system's reference configuration for a
-//! spec, and [`workflow_spec_from_config`] recovers the neutral
-//! [`WorkflowSpec`] a generated artifact describes, for the
-//! execution-validated evaluation.  For the structural-configuration
-//! systems (Wilkins, ADIOS2, Henson) that artifact is a configuration file;
-//! for Parsl and PyCOMPSs — whose configuration files describe the
-//! execution environment, not the graph — it is the annotated task code,
-//! whose app decorators and parameter directions carry the workflow
-//! structure instead.
+//! The models only read artifacts. [`validate_config`] and
+//! [`validate_task_code`] report what a generated configuration or
+//! annotated task code gets wrong (Tables 4 and 6), and
+//! [`workflow_spec_from_config`] recovers the neutral [`WorkflowSpec`] a
+//! generated artifact describes, for the execution-validated evaluation.
+//! For the structural-configuration systems (Wilkins, ADIOS2, Henson) that
+//! artifact is a configuration file; for Parsl and PyCOMPSs — whose
+//! configuration files describe the execution environment, not the graph —
+//! it is the annotated task code, whose app decorators and parameter
+//! directions carry the workflow structure instead.
 
 use wfspeak_codemodel::lexer::Language;
 use wfspeak_corpus::WorkflowSystemId;
@@ -93,17 +92,6 @@ pub fn validate_task_code(system: WorkflowSystemId, code: &str) -> ValidationRep
             DiagnosticKind::NoAnnotationNeeded,
             "Wilkins does not require modifications to task codes",
         ),
-    }
-}
-
-/// Generate `system`'s reference configuration file for `spec`; `None` for
-/// the systems without a structural configuration file (Parsl, PyCOMPSs).
-pub fn generate_config(system: WorkflowSystemId, spec: &WorkflowSpec) -> Option<String> {
-    match system {
-        WorkflowSystemId::Wilkins => Some(WilkinsConfig::from_spec(spec).render()),
-        WorkflowSystemId::Adios2 => Some(Adios2Config::render_for_spec(spec)),
-        WorkflowSystemId::Henson => Some(HensonScript::render_for_spec(spec)),
-        WorkflowSystemId::Parsl | WorkflowSystemId::PyCompss => None,
     }
 }
 

@@ -11,17 +11,15 @@
 //!   decorators / configuration fields, used to classify hallucinations;
 //! * a **configuration schema + validating parser** for the systems whose
 //!   config files describe workflow structure (Wilkins YAML, ADIOS2 YAML,
-//!   Henson scripts);
-//! * a **reference generator** that produces the ground-truth artifact for a
-//!   neutral [`spec::WorkflowSpec`];
+//!   Henson scripts), which also recovers the neutral
+//!   [`spec::WorkflowSpec`] a configuration describes;
 //! * an **annotation checker** that verifies a task code contains the
-//!   system's required calls;
-//! * a rule-based **translator** between coupled system pairs
-//!   (ADIOS2 ↔ Henson, Parsl ↔ PyCOMPSs).
+//!   system's required calls.
 //!
-//! The evaluation harness treats all five systems uniformly through
-//! [`validate_config`], [`validate_task_code`], [`generate_config`] and
-//! [`workflow_spec_from_config`], each one `match` on [`WorkflowSystemId`].
+//! The models only read artifacts: the evaluation harness treats all five
+//! systems uniformly through [`validate_config`], [`validate_task_code`]
+//! and [`workflow_spec_from_config`], each one `match` on
+//! [`WorkflowSystemId`].
 //!
 //! # Quickstart
 //!
@@ -46,13 +44,10 @@ pub mod pycompss;
 pub mod pyflow;
 pub mod spec;
 pub mod topo;
-pub mod translate;
 pub mod wilkins;
 
 pub use api::ApiCatalog;
-pub use artifact::{
-    generate_config, validate_config, validate_task_code, workflow_spec_from_config,
-};
+pub use artifact::{validate_config, validate_task_code, workflow_spec_from_config};
 pub use diagnostics::{Diagnostic, DiagnosticKind, Severity, ValidationReport};
 pub use spec::{DataRequirement, DataRole, TaskSpec, WorkflowSpec};
 pub use wfspeak_corpus::WorkflowSystemId;
@@ -84,19 +79,6 @@ mod tests {
                 report.is_valid(),
                 "{id} reference annotation should validate, got: {report:?}"
             );
-        }
-    }
-
-    #[test]
-    fn generated_configs_match_generation_support() {
-        let spec = WorkflowSpec::paper_3node();
-        for id in WorkflowSystemId::ALL {
-            let config = generate_config(id, &spec);
-            if WorkflowSystemId::configuration_systems().contains(&id) {
-                assert!(config.is_some(), "{id} should generate a config");
-            } else {
-                assert!(config.is_none(), "{id} should not generate a config");
-            }
         }
     }
 }

@@ -214,7 +214,7 @@ pub const REDUNDANT_FOR_BENCHMARK: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generate_config, validate_config, validate_task_code, WorkflowSystemId};
+    use crate::{validate_config, validate_task_code, WorkflowSystemId};
     use wfspeak_corpus::references::annotated;
 
     #[test]
@@ -270,7 +270,6 @@ produce(50, "out.txt").result()
         let report = validate_config(WorkflowSystemId::Parsl, "executors: []");
         assert!(report.is_valid());
         assert!(report.has_code("environment-config"));
-        assert!(generate_config(WorkflowSystemId::Parsl, &WorkflowSpec::paper_3node()).is_none());
     }
 
     #[test]

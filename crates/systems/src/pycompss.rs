@@ -150,7 +150,7 @@ impl PyCompssScript {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generate_config, validate_config, validate_task_code, WorkflowSystemId};
+    use crate::{validate_config, validate_task_code, WorkflowSystemId};
     use wfspeak_corpus::references::annotated;
 
     #[test]
@@ -217,9 +217,6 @@ compss_sync_all()
     fn config_experiment_not_applicable() {
         assert!(
             validate_config(WorkflowSystemId::PyCompss, "anything").has_code("environment-config")
-        );
-        assert!(
-            generate_config(WorkflowSystemId::PyCompss, &WorkflowSpec::paper_3node()).is_none()
         );
     }
 

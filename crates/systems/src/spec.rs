@@ -2,7 +2,7 @@
 //!
 //! The paper's benchmark scenario — a producer feeding datasets to one or
 //! more consumers with given process counts — is captured here once, and
-//! each system model renders it into its own configuration format.  The
+//! each system model recovers it from its own artifact format.  The
 //! runtime crate executes the same specification directly.
 //!
 //! Specs move through a lifecycle: parse (a system model builds a spec from
@@ -37,20 +37,14 @@ pub struct DataRequirement {
     pub dataset: String,
     /// Whether the task produces or consumes it.
     pub role: DataRole,
-    /// Backing file name for file-based exchange.
-    pub filename: String,
-    /// HDF5-style group path used by Wilkins-style configs.
-    pub group_path: String,
 }
 
 impl DataRequirement {
-    /// Convenience constructor with the benchmark's default file/group names.
+    /// A requirement on `dataset` in `role`.
     pub fn new(dataset: &str, role: DataRole) -> Self {
         DataRequirement {
             dataset: dataset.to_owned(),
             role,
-            filename: "outfile.h5".to_owned(),
-            group_path: format!("/group1/{dataset}"),
         }
     }
 }
@@ -155,9 +149,12 @@ impl WorkflowSpec {
             .with_task(TaskSpec::new("consumer", 1).consumes("particles"))
     }
 
-    /// Total number of MPI processes across all tasks.
+    /// Total number of MPI processes across all tasks, saturating at
+    /// `usize::MAX`.
     pub fn total_procs(&self) -> usize {
-        self.tasks.iter().map(|t| t.nprocs).sum()
+        self.tasks
+            .iter()
+            .fold(0, |sum, t| sum.saturating_add(t.nprocs))
     }
 
     /// Names of every dataset appearing in the workflow (deduplicated, in
@@ -430,8 +427,8 @@ impl WorkflowSpec {
     }
 
     /// Normalization pass: canonical task ordering (dependency rank, then
-    /// name), sorted and deduplicated data requirements, and defaulted
-    /// fields — so two specs describing the same workflow compare and score
+    /// name), sorted and deduplicated data requirements, and a defaulted
+    /// name — so two specs describing the same workflow compare and score
     /// identically regardless of artifact ordering.  Idempotent, and safe on
     /// invalid specs (bounded work even with dependency cycles).
     pub fn normalize(&mut self) {
@@ -439,14 +436,6 @@ impl WorkflowSpec {
             self.name = "workflow".to_owned();
         }
         for task in &mut self.tasks {
-            for d in &mut task.data {
-                if d.filename.is_empty() {
-                    d.filename = "outfile.h5".to_owned();
-                }
-                if d.group_path.is_empty() {
-                    d.group_path = format!("/group1/{}", d.dataset);
-                }
-            }
             let mut seen = std::collections::HashSet::new();
             task.data
                 .retain(|d| seen.insert((d.dataset.clone(), d.role)));
@@ -694,13 +683,12 @@ mod tests {
         let mut spec = WorkflowSpec::new("")
             .with_task(TaskSpec::new("p", 1).produces("g").produces("g"))
             .with_task(TaskSpec::new("c", 1).consumes("g"));
-        spec.tasks[0].data[0].filename.clear();
-        spec.tasks[0].data[0].group_path.clear();
         spec.normalize();
         assert_eq!(spec.name, "workflow");
-        assert_eq!(spec.tasks[0].data.len(), 1);
-        assert_eq!(spec.tasks[0].data[0].filename, "outfile.h5");
-        assert_eq!(spec.tasks[0].data[0].group_path, "/group1/g");
+        assert_eq!(
+            spec.tasks[0].data,
+            vec![DataRequirement::new("g", DataRole::Produces)]
+        );
         assert!(spec.validate().is_empty());
     }
 
@@ -715,13 +703,6 @@ mod tests {
         let again = spec.normalized();
         assert_eq!(again, spec);
         assert_eq!(spec.tasks.len(), 2);
-    }
-
-    #[test]
-    fn data_requirement_defaults() {
-        let d = DataRequirement::new("grid", DataRole::Produces);
-        assert_eq!(d.filename, "outfile.h5");
-        assert_eq!(d.group_path, "/group1/grid");
     }
 
     #[test]

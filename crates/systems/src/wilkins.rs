@@ -11,7 +11,7 @@ use wfspeak_wyaml::{parse_document, EntryRef, Node, ValueRef};
 
 use crate::api::{catalog_for, ApiCatalog};
 use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
-use crate::spec::{DataRole, TaskSpec, WorkflowSpec};
+use crate::spec::{DataRequirement, DataRole, TaskSpec, WorkflowSpec};
 
 /// One dataset entry under an inport/outport.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,99 +140,25 @@ impl WilkinsConfig {
         (Some(WilkinsConfig { tasks }), report)
     }
 
-    /// Render the configuration in the canonical reference layout.
-    pub fn render(&self) -> String {
-        let mut out = String::from("tasks:\n");
-        for task in &self.tasks {
-            out.push_str(&format!("  - func: {}\n", task.func));
-            out.push_str(&format!("    nprocs: {}\n", task.nprocs));
-            for (label, ports) in [("outports", &task.outports), ("inports", &task.inports)] {
-                if ports.is_empty() {
-                    continue;
-                }
-                out.push_str(&format!("    {label}:\n"));
-                for port in ports {
-                    out.push_str(&format!("      - filename: {}\n", port.filename));
-                    out.push_str("        dsets:\n");
-                    for dset in &port.dsets {
-                        out.push_str(&format!("          - name: {}\n", dset.name));
-                        out.push_str(&format!("            file: {}\n", u8::from(dset.file)));
-                        out.push_str(&format!("            memory: {}\n", u8::from(dset.memory)));
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Convert to the neutral workflow specification (for the runtime).
+    /// Each dataset is named by the last segment of its path
+    /// (`/group1/grid` is `grid`).
     pub fn to_spec(&self, name: &str) -> WorkflowSpec {
         let mut spec = WorkflowSpec::new(name);
         for task in &self.tasks {
             let mut t = TaskSpec::new(&task.func, task.nprocs);
-            for port in &task.outports {
-                for dset in &port.dsets {
-                    let mut req = crate::spec::DataRequirement::new(
-                        dset.name.rsplit('/').next().unwrap_or(&dset.name),
-                        DataRole::Produces,
-                    );
-                    req.filename = port.filename.clone();
-                    req.group_path = dset.name.clone();
-                    t.data.push(req);
-                }
-            }
-            for port in &task.inports {
-                for dset in &port.dsets {
-                    let mut req = crate::spec::DataRequirement::new(
-                        dset.name.rsplit('/').next().unwrap_or(&dset.name),
-                        DataRole::Consumes,
-                    );
-                    req.filename = port.filename.clone();
-                    req.group_path = dset.name.clone();
-                    t.data.push(req);
+            for (ports, role) in [
+                (&task.outports, DataRole::Produces),
+                (&task.inports, DataRole::Consumes),
+            ] {
+                for dset in ports.iter().flat_map(|port| &port.dsets) {
+                    let dataset = dset.name.rsplit('/').next().unwrap_or(&dset.name);
+                    t.data.push(DataRequirement::new(dataset, role));
                 }
             }
             spec.tasks.push(t);
         }
         spec
-    }
-
-    /// Build the canonical configuration for a neutral workflow spec.
-    pub fn from_spec(spec: &WorkflowSpec) -> WilkinsConfig {
-        let tasks = spec
-            .tasks
-            .iter()
-            .map(|task| {
-                let mut outports: Vec<WilkinsPort> = Vec::new();
-                let mut inports: Vec<WilkinsPort> = Vec::new();
-                for req in &task.data {
-                    let target = match req.role {
-                        DataRole::Produces => &mut outports,
-                        DataRole::Consumes => &mut inports,
-                    };
-                    let dset = WilkinsDset {
-                        name: req.group_path.clone(),
-                        file: false,
-                        memory: true,
-                    };
-                    if let Some(port) = target.iter_mut().find(|p| p.filename == req.filename) {
-                        port.dsets.push(dset);
-                    } else {
-                        target.push(WilkinsPort {
-                            filename: req.filename.clone(),
-                            dsets: vec![dset],
-                        });
-                    }
-                }
-                WilkinsTask {
-                    func: task.name.clone(),
-                    nprocs: task.nprocs,
-                    inports,
-                    outports,
-                }
-            })
-            .collect();
-        WilkinsConfig { tasks }
     }
 }
 
@@ -440,8 +366,8 @@ fn parse_ports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generate_config, validate_task_code};
-    use wfspeak_corpus::references::configs::{WILKINS_2NODE, WILKINS_3NODE};
+    use crate::validate_task_code;
+    use wfspeak_corpus::references::configs::WILKINS_3NODE;
 
     #[test]
     fn parses_reference_3node_config() {
@@ -455,24 +381,6 @@ mod tests {
         assert_eq!(config.tasks[1].inports[0].dsets[0].name, "/group1/grid");
         assert!(config.tasks[1].inports[0].dsets[0].memory);
         assert!(!config.tasks[1].inports[0].dsets[0].file);
-    }
-
-    #[test]
-    fn render_round_trips_reference_exactly() {
-        let (config, _) = WilkinsConfig::parse(WILKINS_3NODE);
-        assert_eq!(config.unwrap().render(), WILKINS_3NODE);
-        let (config2, _) = WilkinsConfig::parse(WILKINS_2NODE);
-        assert_eq!(config2.unwrap().render(), WILKINS_2NODE);
-    }
-
-    #[test]
-    fn generated_config_matches_reference() {
-        let generated =
-            generate_config(WorkflowSystemId::Wilkins, &WorkflowSpec::paper_3node()).unwrap();
-        assert_eq!(generated, WILKINS_3NODE);
-        let generated2 =
-            generate_config(WorkflowSystemId::Wilkins, &WorkflowSpec::fewshot_2node()).unwrap();
-        assert_eq!(generated2, WILKINS_2NODE);
     }
 
     #[test]

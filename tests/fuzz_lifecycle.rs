@@ -224,14 +224,21 @@ proptest! {
 
     // Arbitrary in-memory specs — tiny name pools force duplicate tasks,
     // self-loops, cycles and dangling edges; the nprocs range crosses the
-    // absurd-bounds threshold — through validate/normalize/execute.
+    // absurd-bounds threshold and reaches `usize::MAX`, so process totals
+    // pass it too — through validate/normalize/execute.
     #[test]
     fn arbitrary_specs_survive_the_lifecycle(
         name in "[a-z]{0,6}",
         tasks in proptest::collection::vec(
             (
                 "[ab]{1,2}|[a-z]{1,8}",
-                prop_oneof![Just(0usize), 1usize..8, 60_000usize..80_000],
+                prop_oneof![
+                    Just(0usize),
+                    1usize..8,
+                    60_000usize..80_000,
+                    (usize::MAX / 4)..usize::MAX,
+                    Just(usize::MAX),
+                ],
                 proptest::collection::vec(("[xy]|[a-z]{1,4}", any::<bool>()), 0..4),
             ),
             0..6,

@@ -6,30 +6,25 @@
 //!   that `simulated_outputs.rs` lists (base seed 2025) is validated as a
 //!   configuration and as task code under all five systems: 19,000
 //!   reports, each folded as its `Display` text.
-//! * **Generated configurations.** The configuration every system
-//!   generates for `paper_3node`, `fewshot_2node` and the twelve
-//!   `bench_suite(42)` tiers, pinned apart from the reports.
-//! * **Runs.** Those fourteen specs run on the default engine, once as they
-//!   are and once with a failure injected into `producer`. Each run folds
+//! * **Runs.** `paper_3node`, `fewshot_2node` and the twelve
+//!   `bench_suite(42)` tiers run on the default engine, once as they are
+//!   and once with a failure injected into `producer`. Each run folds
 //!   its event log in order (task, kind, dataset, timestep, failure reason)
 //!   and the bits of every consumer sum, by task name.
 //!
 //! Every text is folded into an FNV-1a checksum followed by its length, so
 //! the boundaries between texts count too.
 
+mod common;
+
+use common::{fnv, fold, grid_prompts, FNV_OFFSET};
 use wfspeak::codemodel::extract_code;
 use wfspeak::core::BenchmarkConfig;
-use wfspeak::corpus::fewshot::augment_configuration_prompt;
-use wfspeak::corpus::prompts::{
-    annotation_prompt, configuration_prompt, execution_prompt, translation_prompt, PromptVariant,
-};
-use wfspeak::corpus::{translation_pairs, WorkflowSystemId};
+use wfspeak::corpus::WorkflowSystemId;
 use wfspeak::llm::{CompletionRequest, LlmClient, SamplingParams, SimulatedLlm};
 use wfspeak::runtime::{Engine, EngineConfig, EventKind};
 use wfspeak::systems::topo::bench_suite;
-use wfspeak::systems::{
-    generate_config, validate_config, validate_task_code, ValidationReport, WorkflowSpec,
-};
+use wfspeak::systems::{validate_config, validate_task_code, ValidationReport, WorkflowSpec};
 
 /// The configuration and the task-code report of `text` under `system`.
 fn validate(system: WorkflowSystemId, text: &str) -> (ValidationReport, ValidationReport) {
@@ -37,55 +32,6 @@ fn validate(system: WorkflowSystemId, text: &str) -> (ValidationReport, Validati
         validate_config(system, text),
         validate_task_code(system, text),
     )
-}
-
-/// The configuration `system` generates for `spec`, if it has one.
-fn generate(system: WorkflowSystemId, spec: &WorkflowSpec) -> Option<String> {
-    generate_config(system, spec)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Fold `text` and then its length.
-fn fold(hash: &mut u64, text: &str) {
-    fnv(hash, text.as_bytes());
-    fnv(hash, &(text.len() as u64).to_le_bytes());
-}
-
-/// Every prompt the grid sends, in the order `simulated_outputs.rs` lists
-/// them: per variant, the configuration, annotation, translation and
-/// execution rows, then the few-shot configuration prompts.
-fn grid_prompts() -> Vec<String> {
-    let mut prompts = Vec::new();
-    for variant in PromptVariant::ALL {
-        for system in WorkflowSystemId::configuration_systems() {
-            prompts.push(configuration_prompt(system, variant));
-        }
-        for system in WorkflowSystemId::annotation_systems() {
-            prompts.push(annotation_prompt(system, variant));
-        }
-        for (source, target) in translation_pairs() {
-            prompts.push(translation_prompt(source, target, variant));
-        }
-        for system in WorkflowSystemId::execution_systems() {
-            prompts.push(execution_prompt(system, variant));
-        }
-    }
-    for variant in PromptVariant::ALL {
-        for system in WorkflowSystemId::configuration_systems() {
-            let prompt = configuration_prompt(system, variant);
-            prompts.push(augment_configuration_prompt(&prompt, system));
-        }
-    }
-    prompts
 }
 
 /// The extracted payload of every grid completion at the default seed.
@@ -134,22 +80,6 @@ fn model_reports_match_their_pin() {
     }
     assert_eq!(reports, 19_000);
     assert_eq!(hash, 0x8c62_b299_72a5_f537, "checksum {hash:#018x}");
-}
-
-#[test]
-fn generated_configs_match_their_pin() {
-    let specs = specs();
-    assert_eq!(specs.len(), 14);
-    let mut hash = FNV_OFFSET;
-    for spec in &specs {
-        for system in WorkflowSystemId::ALL {
-            match generate(system, spec) {
-                Some(text) => fold(&mut hash, &text),
-                None => fnv(&mut hash, b"none"),
-            }
-        }
-    }
-    assert_eq!(hash, 0xf416_abd7_5f00_0ea8, "checksum {hash:#018x}");
 }
 
 #[test]

@@ -10,51 +10,11 @@
 //! into one FNV-1a checksum, followed by its length so that the boundaries
 //! between texts count too.
 
+mod common;
+
+use common::{fold, grid_prompts, FNV_OFFSET};
 use wfspeak::core::BenchmarkConfig;
-use wfspeak::corpus::fewshot::augment_configuration_prompt;
-use wfspeak::corpus::prompts::{
-    annotation_prompt, configuration_prompt, execution_prompt, translation_prompt, PromptVariant,
-};
-use wfspeak::corpus::{translation_pairs, WorkflowSystemId};
 use wfspeak::llm::{CompletionRequest, LlmClient, SamplingParams, SimulatedLlm};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Every prompt the grid sends, in grid order: per variant, the
-/// configuration, annotation, translation and execution rows, then the
-/// few-shot configuration prompts.
-fn grid_prompts() -> Vec<String> {
-    let mut prompts = Vec::new();
-    for variant in PromptVariant::ALL {
-        for system in WorkflowSystemId::configuration_systems() {
-            prompts.push(configuration_prompt(system, variant));
-        }
-        for system in WorkflowSystemId::annotation_systems() {
-            prompts.push(annotation_prompt(system, variant));
-        }
-        for (source, target) in translation_pairs() {
-            prompts.push(translation_prompt(source, target, variant));
-        }
-        for system in WorkflowSystemId::execution_systems() {
-            prompts.push(execution_prompt(system, variant));
-        }
-    }
-    for variant in PromptVariant::ALL {
-        for system in WorkflowSystemId::configuration_systems() {
-            let prompt = configuration_prompt(system, variant);
-            prompts.push(augment_configuration_prompt(&prompt, system));
-        }
-    }
-    prompts
-}
 
 /// The checksum of every completion at `base_seed`, and how many were
 /// folded into it.
@@ -77,8 +37,7 @@ fn completions_checksum(base_seed: u64) -> (u64, usize) {
                 let text = model
                     .complete(&CompletionRequest::new(prompt.as_str(), params))
                     .text;
-                fnv(&mut hash, text.as_bytes());
-                fnv(&mut hash, &(text.len() as u64).to_le_bytes());
+                fold(&mut hash, &text);
                 texts += 1;
             }
         }

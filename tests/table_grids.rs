@@ -8,17 +8,10 @@
 //! Each cell's sample count and each text's length are folded too, so the
 //! boundaries between them count.
 
+mod common;
+
+use common::{fnv, fold, FNV_OFFSET};
 use wfspeak::core::{Benchmark, BenchmarkConfig, ExperimentKind, ExperimentResult, PromptVariant};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// Fold every sample of `result`: per row, per column, per trial its BLEU
 /// then its ChrF bits.
@@ -60,8 +53,7 @@ fn table_checksum(base_seed: u64) -> (u64, usize, usize) {
     samples += fold_result(&mut hash, &few_shot.few_shot);
     let corpus = benchmark.configuration_corpus();
     for text in &corpus {
-        fnv(&mut hash, text.as_bytes());
-        fnv(&mut hash, &(text.len() as u64).to_le_bytes());
+        fold(&mut hash, text);
     }
     (hash, samples, corpus.len())
 }
