@@ -19,9 +19,9 @@
 //! * **Event-driven I/O** ([`server`], [`framing`]) — one nonblocking
 //!   event-loop thread multiplexes every connection via the vendored
 //!   `polling` shim (epoll/poll); each connection is a state machine
-//!   assembling frames of at most [`MAX_FRAME_BYTES`] with [`FrameDecoder`]
-//!   over the vendored `bytes` crate, so thousands of connections cost
-//!   table entries and one file descriptor each, not thread pairs.
+//!   assembling frames of at most [`MAX_FRAME_BYTES`] with [`FrameDecoder`],
+//!   so thousands of connections cost table entries and one file
+//!   descriptor each, not thread pairs.
 //! * **Bounded worker pool** ([`server`]) — scoring runs on a fixed pool fed
 //!   by a bounded queue; when the pool is saturated, the loop parks the
 //!   connection's request and mutes its read interest, pushing backpressure
