@@ -6,6 +6,12 @@
 //!   that `simulated_outputs.rs` lists (base seed 2025) is validated as a
 //!   configuration and as task code under all five systems: 19,000
 //!   reports, each folded as its `Display` text.
+//! * **Specs.** The same payloads are read by `workflow_spec_from_config`
+//!   under all five systems. Each report is folded as its `Display` text,
+//!   and each recovered spec as its name and, per task, the name, process
+//!   count and every `(dataset, role)`, then again normalized, then the
+//!   `Display` of each of its `validate()` findings. The normalized task
+//!   order of the twelve `bench_suite(42)` tiers is folded after them.
 //! * **Runs.** `paper_3node`, `fewshot_2node` and the twelve
 //!   `bench_suite(42)` tiers run on the default engine, once as they are
 //!   and once with a failure injected into `producer`. Each run folds
@@ -24,7 +30,10 @@ use wfspeak::corpus::WorkflowSystemId;
 use wfspeak::llm::{CompletionRequest, LlmClient, SamplingParams, SimulatedLlm};
 use wfspeak::runtime::{Engine, EngineConfig, EventKind};
 use wfspeak::systems::topo::bench_suite;
-use wfspeak::systems::{validate_config, validate_task_code, ValidationReport, WorkflowSpec};
+use wfspeak::systems::{
+    validate_config, validate_task_code, workflow_spec_from_config, DataRole, ValidationReport,
+    WorkflowSpec,
+};
 
 /// The configuration and the task-code report of `text` under `system`.
 fn validate(system: WorkflowSystemId, text: &str) -> (ValidationReport, ValidationReport) {
@@ -57,6 +66,26 @@ fn payloads() -> Vec<String> {
     payloads
 }
 
+/// Fold a spec's name and, per task, its name, process count and every
+/// `(dataset, role)` in order.
+fn fold_spec(hash: &mut u64, spec: &WorkflowSpec) {
+    fold(hash, &spec.name);
+    for task in &spec.tasks {
+        fold(hash, &task.name);
+        fnv(hash, &(task.nprocs as u64).to_le_bytes());
+        for data in &task.data {
+            fold(hash, &data.dataset);
+            fold(
+                hash,
+                match data.role {
+                    DataRole::Produces => "produces",
+                    DataRole::Consumes => "consumes",
+                },
+            );
+        }
+    }
+}
+
 /// The paper's two workflows and every tier of the topology suite.
 fn specs() -> Vec<WorkflowSpec> {
     let mut specs = vec![WorkflowSpec::paper_3node(), WorkflowSpec::fewshot_2node()];
@@ -80,6 +109,34 @@ fn model_reports_match_their_pin() {
     }
     assert_eq!(reports, 19_000);
     assert_eq!(hash, 0x8c62_b299_72a5_f537, "checksum {hash:#018x}");
+}
+
+#[test]
+fn recovered_specs_match_their_pin() {
+    let payloads = payloads();
+    let mut hash = FNV_OFFSET;
+    let mut specs = 0;
+    for payload in &payloads {
+        for system in WorkflowSystemId::ALL {
+            let (spec, report) = workflow_spec_from_config(system, payload);
+            fold(&mut hash, &report.to_string());
+            if let Some(spec) = spec {
+                fold_spec(&mut hash, &spec);
+                fold_spec(&mut hash, &spec.normalized());
+                for finding in spec.validate() {
+                    fold(&mut hash, &finding.to_string());
+                }
+                specs += 1;
+            }
+        }
+    }
+    for topo in bench_suite(42) {
+        for task in &topo.generate().normalized().tasks {
+            fold(&mut hash, &task.name);
+        }
+    }
+    assert_eq!(specs, 1_859);
+    assert_eq!(hash, 0xa726_b3ed_ec82_b6b9, "checksum {hash:#018x}");
 }
 
 #[test]
