@@ -2,11 +2,11 @@
 //!
 //! The paper's benchmark scenario — a producer feeding datasets to one or
 //! more consumers with given process counts — is captured here once, and
-//! each system model recovers it from its own artifact format.  The
+//! each system's reader recovers it from its own artifact format.  The
 //! runtime crate executes the same specification directly.
 //!
-//! Specs move through a lifecycle: parse (a system model builds a spec from
-//! an artifact), [`WorkflowSpec::validate`] (structural checks returning
+//! Specs move through a lifecycle: parse (a system's reader builds a spec
+//! from an artifact), [`WorkflowSpec::validate`] (structural checks returning
 //! typed diagnostics), [`WorkflowSpec::normalize`] (canonical ordering and
 //! defaulted fields, so downstream scoring is order-insensitive), and
 //! finally execution on the runtime engine.
@@ -21,8 +21,10 @@ pub const MAX_REASONABLE_PROCS: usize = 65_536;
 /// Largest task count `validate` accepts.
 pub const MAX_REASONABLE_TASKS: usize = 4_096;
 
-/// Direction of a task's relationship to a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Direction of a task's relationship to a dataset.  `Produces` orders
+/// before `Consumes`, so a task's normalized data list names what it writes
+/// before what it reads for the same dataset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DataRole {
     /// The task writes the dataset.
     Produces,
@@ -360,7 +362,7 @@ impl WorkflowSpec {
                 }
             }
         }
-        if let Some(cycle_tasks) = self.find_cycle() {
+        if let Err(cycle_tasks) = self.dependency_ranks() {
             diags.push(Diagnostic::error(
                 DiagnosticKind::Cycle,
                 format!(
@@ -380,10 +382,12 @@ impl WorkflowSpec {
             .all(|d| d.severity != Severity::Error)
     }
 
-    /// Tasks caught in a dependency cycle (Kahn's algorithm leftovers), in
-    /// definition order, or `None` when the graph is acyclic.  Self-loops
-    /// count: a task consuming its own output can never start.
-    fn find_cycle(&self) -> Option<Vec<String>> {
+    /// Each task's dependency rank (the length of the longest producer →
+    /// consumer path that ends at it), or else the tasks caught in a
+    /// dependency cycle, in definition order.  One pass of Kahn's
+    /// algorithm: a task is ranked once every task feeding it is.
+    /// Self-loops count: a task consuming its own output can never start.
+    fn dependency_ranks(&self) -> Result<Vec<usize>, Vec<String>> {
         // predecessor counts per task index, from producer → consumer edges
         let mut indegree = vec![0usize; self.tasks.len()];
         let mut successors: Vec<Vec<usize>> = vec![Vec::new(); self.tasks.len()];
@@ -400,13 +404,15 @@ impl WorkflowSpec {
                 }
             }
         }
+        let mut ranks = vec![0usize; self.tasks.len()];
         let mut ready: Vec<usize> = (0..self.tasks.len())
             .filter(|&i| indegree[i] == 0)
             .collect();
         let mut resolved = 0;
-        while let Some(i) = ready.pop() {
+        while let Some(t) = ready.pop() {
             resolved += 1;
-            for &s in &successors[i] {
+            for &s in &successors[t] {
+                ranks[s] = ranks[s].max(ranks[t] + 1);
                 indegree[s] -= 1;
                 if indegree[s] == 0 {
                     ready.push(s);
@@ -414,16 +420,15 @@ impl WorkflowSpec {
             }
         }
         if resolved == self.tasks.len() {
-            return None;
+            return Ok(ranks);
         }
-        Some(
-            self.tasks
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| indegree[i] > 0)
-                .map(|(_, t)| t.name.clone())
-                .collect(),
-        )
+        Err(self
+            .tasks
+            .iter()
+            .zip(&indegree)
+            .filter(|&(_, &d)| d > 0)
+            .map(|(t, _)| t.name.clone())
+            .collect())
     }
 
     /// Normalization pass: canonical task ordering (dependency rank, then
@@ -439,20 +444,14 @@ impl WorkflowSpec {
             let mut seen = std::collections::HashSet::new();
             task.data
                 .retain(|d| seen.insert((d.dataset.clone(), d.role)));
-            task.data.sort_by(|a, b| {
-                (a.dataset.as_str(), role_rank(a.role))
-                    .cmp(&(b.dataset.as_str(), role_rank(b.role)))
-            });
+            task.data
+                .sort_by(|a, b| (a.dataset.as_str(), a.role).cmp(&(b.dataset.as_str(), b.role)));
         }
-        // Dependency ranks are only canonical on acyclic graphs (the capped
-        // relaxation for cycles depends on task order, so rank-sorting a
-        // cyclic spec would not be idempotent).  Cyclic specs are invalid
-        // anyway; give them a plain name ordering.
-        let ranks = if self.find_cycle().is_some() {
-            vec![0; self.tasks.len()]
-        } else {
-            self.dependency_ranks()
-        };
+        // A cyclic spec has no dependency ranks; it is invalid anyway, so
+        // it gets a plain name ordering.
+        let ranks = self
+            .dependency_ranks()
+            .unwrap_or_else(|_| vec![0; self.tasks.len()]);
         let mut order: Vec<usize> = (0..self.tasks.len()).collect();
         order.sort_by(|&a, &b| {
             (ranks[a], self.tasks[a].name.as_str()).cmp(&(ranks[b], self.tasks[b].name.as_str()))
@@ -470,46 +469,6 @@ impl WorkflowSpec {
         let mut copy = self.clone();
         copy.normalize();
         copy
-    }
-
-    /// Longest-path depth of each task from the dependency sources.  The
-    /// relaxation loop is bounded by the task count, so cyclic (invalid)
-    /// specs terminate with a stable, deterministic ranking instead of
-    /// hanging.
-    fn dependency_ranks(&self) -> Vec<usize> {
-        let n = self.tasks.len();
-        let mut ranks = vec![0usize; n];
-        for _ in 0..n {
-            let mut changed = false;
-            for (ci, consumer) in self.tasks.iter().enumerate() {
-                let consumed = consumer.consumed_datasets();
-                for (pi, producer) in self.tasks.iter().enumerate() {
-                    if pi == ci {
-                        continue;
-                    }
-                    let feeds = producer
-                        .produced_datasets()
-                        .iter()
-                        .any(|d| consumed.contains(d));
-                    if feeds && ranks[ci] < ranks[pi] + 1 && ranks[pi] < n {
-                        ranks[ci] = ranks[pi] + 1;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        ranks
-    }
-}
-
-/// Produces sorts before Consumes within a task's data list.
-fn role_rank(role: DataRole) -> u8 {
-    match role {
-        DataRole::Produces => 0,
-        DataRole::Consumes => 1,
     }
 }
 
@@ -666,6 +625,19 @@ mod tests {
         assert_eq!(names, vec!["producer", "consumer1", "consumer2"]);
         // Data requirements are sorted by dataset.
         assert_eq!(spec.tasks[0].produced_datasets(), vec!["grid", "particles"]);
+    }
+
+    #[test]
+    fn normalize_ranks_tasks_by_their_longest_dependency_path() {
+        // `b` is fed by `a` directly and through `z`, so it ranks after `z`
+        // although its name sorts first.
+        let mut spec = WorkflowSpec::new("w")
+            .with_task(TaskSpec::new("b", 1).consumes("x").consumes("y"))
+            .with_task(TaskSpec::new("z", 1).consumes("x").produces("y"))
+            .with_task(TaskSpec::new("a", 1).produces("x"));
+        spec.normalize();
+        let names: Vec<&str> = spec.tasks.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, vec!["a", "z", "b"]);
     }
 
     #[test]
