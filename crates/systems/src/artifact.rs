@@ -1,7 +1,8 @@
 //! The per-system entry points: each is one `match` on
-//! [`WorkflowSystemId`].
+//! [`WorkflowSystemId`], and they are the only way into the private
+//! per-system readers.
 //!
-//! The models only read artifacts. [`validate_config`] and
+//! The readers only read artifacts. [`validate_config`] and
 //! [`validate_task_code`] report what a generated configuration or
 //! annotated task code gets wrong (Tables 4 and 6), and
 //! [`workflow_spec_from_config`] recovers the neutral [`WorkflowSpec`] a
@@ -15,15 +16,11 @@
 use wfspeak_codemodel::lexer::Language;
 use wfspeak_corpus::WorkflowSystemId;
 
-use crate::adios2::Adios2Config;
-use crate::annotate;
 use crate::api::catalog_for;
 use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
-use crate::henson::HensonScript;
-use crate::parsl::{ParslScript, REDUNDANT_FOR_BENCHMARK};
-use crate::pycompss::PyCompssScript;
+use crate::parsl::REDUNDANT_FOR_BENCHMARK;
 use crate::spec::WorkflowSpec;
-use crate::wilkins::WilkinsConfig;
+use crate::{adios2, annotate, henson, parsl, pycompss, wilkins};
 
 /// Validate a workflow configuration file for `system`.  Systems whose
 /// configuration describes the execution environment rather than the
@@ -31,9 +28,9 @@ use crate::wilkins::WilkinsConfig;
 /// diagnostic.
 pub fn validate_config(system: WorkflowSystemId, config: &str) -> ValidationReport {
     match system {
-        WorkflowSystemId::Wilkins => WilkinsConfig::parse(config).1,
-        WorkflowSystemId::Adios2 => Adios2Config::parse(config).1,
-        WorkflowSystemId::Henson => HensonScript::parse(config).1,
+        WorkflowSystemId::Wilkins | WorkflowSystemId::Adios2 | WorkflowSystemId::Henson => {
+            workflow_spec_from_config(system, config).1
+        }
         WorkflowSystemId::Parsl => info_only(
             DiagnosticKind::EnvironmentConfig,
             "Parsl configuration files describe the execution environment, not the workflow \
@@ -102,10 +99,11 @@ fn info_only(kind: DiagnosticKind, message: &str) -> ValidationReport {
     report
 }
 
-/// Parse a generated artifact for `system` into a [`WorkflowSpec`].
+/// Read a generated artifact for `system` into a [`WorkflowSpec`] named
+/// `<system>-workflow`.
 ///
 /// Returns the recovered spec (when the artifact's structure could be
-/// parsed at all) together with the validator's full diagnostic report; a
+/// parsed at all) together with the reader's full diagnostic report; a
 /// spec may be returned alongside an *invalid* report when the artifact
 /// parses but violates the system's schema, letting callers grade "parsed
 /// but wrong" separately from "unparseable".
@@ -115,44 +113,11 @@ pub fn workflow_spec_from_config(
 ) -> (Option<WorkflowSpec>, ValidationReport) {
     let spec_name = format!("{}-workflow", system.name().to_lowercase());
     match system {
-        WorkflowSystemId::Wilkins => {
-            let (config, report) = WilkinsConfig::parse(source);
-            (config.map(|c| c.to_spec(&spec_name)), report)
-        }
-        WorkflowSystemId::Adios2 => {
-            let (config, mut report) = Adios2Config::parse(source);
-            let spec = config.and_then(|c| unwrap_spec(c.to_spec(&spec_name), &mut report));
-            (spec, report)
-        }
-        WorkflowSystemId::Henson => {
-            let (script, mut report) = HensonScript::parse(source);
-            let spec = script.and_then(|s| unwrap_spec(s.to_spec(&spec_name), &mut report));
-            (spec, report)
-        }
-        WorkflowSystemId::Parsl => {
-            let (script, mut report) = ParslScript::parse(source);
-            let spec = script.and_then(|s| unwrap_spec(s.to_spec(&spec_name), &mut report));
-            (spec, report)
-        }
-        WorkflowSystemId::PyCompss => {
-            let (script, mut report) = PyCompssScript::parse(source);
-            let spec = script.and_then(|s| unwrap_spec(s.to_spec(&spec_name), &mut report));
-            (spec, report)
-        }
-    }
-}
-
-/// Fold a `to_spec` failure (a config naming zero tasks) into the report.
-fn unwrap_spec(
-    result: Result<WorkflowSpec, Diagnostic>,
-    report: &mut ValidationReport,
-) -> Option<WorkflowSpec> {
-    match result {
-        Ok(spec) => Some(spec),
-        Err(diagnostic) => {
-            report.push(diagnostic);
-            None
-        }
+        WorkflowSystemId::Wilkins => wilkins::read(source, &spec_name),
+        WorkflowSystemId::Adios2 => adios2::read(source, &spec_name),
+        WorkflowSystemId::Henson => henson::read(source, &spec_name),
+        WorkflowSystemId::Parsl => parsl::read(source, &spec_name),
+        WorkflowSystemId::PyCompss => pycompss::read(source, &spec_name),
     }
 }
 

@@ -9,14 +9,16 @@
 //!
 //! * an **API catalogue** ([`api::ApiCatalog`]) of real function names /
 //!   decorators / configuration fields, used to classify hallucinations;
-//! * a **configuration schema + validating parser** for the systems whose
-//!   config files describe workflow structure (Wilkins YAML, ADIOS2 YAML,
-//!   Henson scripts), which also recovers the neutral
-//!   [`spec::WorkflowSpec`] a configuration describes;
+//! * a **validating reader** per system, which reads an artifact straight
+//!   into the neutral [`spec::WorkflowSpec`] it describes plus a report: a
+//!   configuration for the systems whose config files describe workflow
+//!   structure (Wilkins YAML, ADIOS2 YAML, Henson scripts), annotated task
+//!   code for Parsl and PyCOMPSs;
 //! * an **annotation checker** that verifies a task code contains the
 //!   system's required calls.
 //!
-//! The models only read artifacts: the evaluation harness treats all five
+//! The readers and the annotation checker are private, and only read
+//! artifacts: callers, the evaluation harness included, reach all five
 //! systems uniformly through [`validate_config`], [`validate_task_code`]
 //! and [`workflow_spec_from_config`], each one `match` on
 //! [`WorkflowSystemId`].
@@ -33,18 +35,18 @@
 //! assert!(henson.is_hallucinated("henson_save_matrix"));
 //! ```
 
-pub mod adios2;
-pub mod annotate;
+mod adios2;
+mod annotate;
 pub mod api;
 pub mod artifact;
 pub mod diagnostics;
-pub mod henson;
-pub mod parsl;
-pub mod pycompss;
-pub mod pyflow;
+mod henson;
+mod parsl;
+mod pycompss;
+mod pyflow;
 pub mod spec;
 pub mod topo;
-pub mod wilkins;
+mod wilkins;
 
 pub use api::ApiCatalog;
 pub use artifact::{validate_config, validate_task_code, workflow_spec_from_config};

@@ -5,45 +5,20 @@
 //! declared with parameter directions (`FILE_OUT`), and the main program
 //! synchronises with `compss_wait_on_file` (the call the paper notes
 //! LLaMA-3.3-70B keeps forgetting).  Those parameter directions are exactly
-//! the workflow structure, and [`PyCompssScript`] recovers it for the
-//! runtime: `@task` functions become tasks, `FILE_OUT`/`FILE_IN` parameter
-//! annotations become produces/consumes edges named after the file bound at
-//! the call site, and `@mpi(processes=N)`/`@constraint(computing_units=N)`
-//! set the process count.
+//! the workflow structure, and [`read`] recovers it for the runtime: `@task`
+//! functions become tasks, `FILE_OUT`/`FILE_IN` parameter annotations become
+//! produces/consumes edges named after the file bound at the call site, and
+//! `@mpi(processes=N)`/`@constraint(computing_units=N)` set the process
+//! count.
 
 use std::collections::BTreeMap;
 
 use crate::diagnostics::{Diagnostic, DiagnosticKind, ValidationReport};
-use crate::parsl::dataflow_for;
-use crate::pyflow::{scan_functions, scan_invocations, PyInvocation};
+use crate::pyflow::{dataflow_for, scan_functions, scan_invocations};
 use crate::spec::{DataRole, TaskSpec, WorkflowSpec};
 
 /// Decorator names that mark a function as a PyCOMPSs task.
 const TASK_DECORATORS: &[&str] = &["task", "binary", "mpi", "multinode"];
-
-/// One `@task`-decorated definition recovered from the script.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PyCompssTask {
-    /// Function (task) name.
-    pub name: String,
-    /// Parameter names in declaration order.
-    pub params: Vec<String>,
-    /// Parameter direction annotations from the `@task` decorator
-    /// (`outfile=FILE_OUT` → `("outfile", Produces)`).
-    pub directions: BTreeMap<String, DataRole>,
-    /// Processes requested via `@mpi(processes=N)` or
-    /// `@constraint(computing_units=N)`; 1 when absent.
-    pub nprocs: usize,
-}
-
-/// A parsed PyCOMPSs script: task definitions plus their invocations.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PyCompssScript {
-    /// Task definitions in source order.
-    pub tasks: Vec<PyCompssTask>,
-    /// Invocations of those tasks in source order.
-    pub invocations: Vec<PyInvocation>,
-}
 
 /// Map a PyCOMPSs parameter-direction constant to a dataflow role.
 /// `FILE_INOUT` is treated as consumes only, so an in-place update never
@@ -58,93 +33,69 @@ fn direction_constant(value: &str) -> Option<DataRole> {
     }
 }
 
-impl PyCompssScript {
-    /// Parse annotated PyCOMPSs task code, reporting missing imports and the
-    /// absence of any task definition.
-    pub fn parse(source: &str) -> (Option<PyCompssScript>, ValidationReport) {
-        let mut report = ValidationReport::valid();
-        if !source.contains("pycompss") {
-            report.push(Diagnostic::error(
-                DiagnosticKind::MissingImport,
-                "the script never imports the pycompss API modules",
-            ));
-        }
-        let tasks: Vec<PyCompssTask> = scan_functions(source)
-            .into_iter()
-            .filter(|f| f.decorator_in(TASK_DECORATORS).is_some())
-            .map(|f| {
-                let mut directions = BTreeMap::new();
-                let mut nprocs = 1usize;
-                for decorator in &f.decorators {
-                    for (key, value) in &decorator.args {
-                        if f.params.contains(key) {
-                            if let Some(role) = direction_constant(value) {
-                                directions.insert(key.clone(), role);
-                            }
-                        }
-                        if (key == "processes" || key == "computing_units") && nprocs == 1 {
-                            if let Ok(n) = value.trim().parse::<usize>() {
-                                nprocs = n.max(1);
-                            }
-                        }
+/// Read annotated PyCOMPSs task code into the workflow it describes,
+/// reporting a missing import and the absence of any task definition.
+///
+/// `@task` functions become tasks; their declared parameter directions
+/// decide which call-site arguments carry dataflow, with the bound file
+/// name (or the parameter name, when no call binds one) as the dataset —
+/// the same naming-convention inference the Henson reader
+/// ([`henson::read`](crate::henson::read)) applies to shared-library stems.
+/// Futures passed between tasks become produces/consumes edges named after
+/// the future variable.  A task's process count comes from
+/// `@mpi(processes=N)` or `@constraint(computing_units=N)`; it is 1 when
+/// neither is given.
+pub(crate) fn read(source: &str, spec_name: &str) -> (Option<WorkflowSpec>, ValidationReport) {
+    let mut report = ValidationReport::valid();
+    if !source.contains("pycompss") {
+        report.push(Diagnostic::error(
+            DiagnosticKind::MissingImport,
+            "the script never imports the pycompss API modules",
+        ));
+    }
+    let mut tasks = scan_functions(source);
+    tasks.retain(|f| f.decorator_in(TASK_DECORATORS).is_some());
+    if tasks.is_empty() {
+        report.push(Diagnostic::error(
+            DiagnosticKind::Schema,
+            "the script defines no PyCOMPSs tasks (no @task/@binary/@mpi decorated \
+             functions), so no workflow structure can be recovered",
+        ));
+        return (None, report);
+    }
+    let names: Vec<&str> = tasks.iter().map(|t| t.name.as_str()).collect();
+    let invocations = scan_invocations(source, &names);
+    let mut spec = WorkflowSpec::new(spec_name);
+    for f in &tasks {
+        // Parameter direction annotations from the decorators
+        // (`outfile=FILE_OUT` → `("outfile", Produces)`).
+        let mut directions = BTreeMap::new();
+        let mut nprocs = 1usize;
+        for decorator in &f.decorators {
+            for (key, value) in &decorator.args {
+                if f.params.contains(key) {
+                    if let Some(role) = direction_constant(value) {
+                        directions.insert(key.as_str(), role);
                     }
                 }
-                PyCompssTask {
-                    name: f.name,
-                    params: f.params,
-                    directions,
-                    nprocs,
+                if (key == "processes" || key == "computing_units") && nprocs == 1 {
+                    if let Ok(n) = value.trim().parse::<usize>() {
+                        nprocs = n.max(1);
+                    }
                 }
-            })
-            .collect();
-        if tasks.is_empty() {
-            report.push(Diagnostic::error(
-                DiagnosticKind::Schema,
-                "the script defines no PyCOMPSs tasks (no @task/@binary/@mpi decorated \
-                 functions), so no workflow structure can be recovered",
-            ));
-            return (None, report);
-        }
-        let names: Vec<&str> = tasks.iter().map(|t| t.name.as_str()).collect();
-        let invocations = scan_invocations(source, &names);
-        (Some(PyCompssScript { tasks, invocations }), report)
-    }
-
-    /// Reconstruct the neutral workflow specification the script describes.
-    ///
-    /// `@task` functions become tasks; their declared parameter directions
-    /// decide which call-site arguments carry dataflow, with the bound file
-    /// name (or the parameter name, when no call binds one) as the dataset —
-    /// the same naming-convention inference
-    /// [`HensonScript::to_spec`](crate::henson::HensonScript::to_spec)
-    /// applies to shared-library stems.  Futures passed between tasks become
-    /// produces/consumes edges named after the future variable.
-    pub fn to_spec(&self, name: &str) -> Result<WorkflowSpec, Diagnostic> {
-        if self.tasks.is_empty() {
-            return Err(Diagnostic::error(
-                DiagnosticKind::EmptyWorkflow,
-                "the script defines no PyCOMPSs tasks, so no tasks can be recovered",
-            ));
-        }
-        let mut spec = WorkflowSpec::new(name);
-        for task in &self.tasks {
-            let mut task_spec = TaskSpec::new(&task.name, task.nprocs);
-            for (dataset, role) in dataflow_for(
-                &task.name,
-                &task.params,
-                &self.invocations,
-                &|param| task.directions.get(param).copied(),
-                &|other| self.tasks.iter().any(|t| t.name == other),
-            ) {
-                task_spec = match role {
-                    DataRole::Produces => task_spec.produces(&dataset),
-                    DataRole::Consumes => task_spec.consumes(&dataset),
-                };
             }
-            spec.tasks.push(task_spec);
         }
-        Ok(spec)
+        let mut task = TaskSpec::new(&f.name, nprocs);
+        task.data = dataflow_for(
+            &f.name,
+            &f.params,
+            &invocations,
+            &|param| directions.get(param).copied(),
+            &|other| names.contains(&other),
+        );
+        spec.tasks.push(task);
     }
+    (Some(spec), report)
 }
 
 #[cfg(test)]
@@ -222,18 +173,9 @@ compss_sync_all()
 
     #[test]
     fn reference_annotation_reconstructs_the_producer_spec() {
-        let (script, report) = PyCompssScript::parse(annotated::PYCOMPSS_PRODUCER);
+        let (spec, report) = read(annotated::PYCOMPSS_PRODUCER, "pycompss-workflow");
         assert!(report.is_valid(), "{report}");
-        let script = script.expect("reference parses");
-        assert_eq!(script.tasks.len(), 1);
-        assert_eq!(script.tasks[0].name, "produce");
-        assert_eq!(script.tasks[0].nprocs, 1);
-        assert_eq!(
-            script.tasks[0].directions.get("outfile"),
-            Some(&DataRole::Produces)
-        );
-
-        let spec = script.to_spec("pycompss-workflow").expect("spec recovered");
+        let spec = spec.expect("spec recovered");
         assert_eq!(spec.tasks.len(), 1);
         let task = &spec.tasks[0];
         assert_eq!(task.name, "produce");
@@ -264,9 +206,9 @@ produce(50, "grid.h5")
 consume("grid.h5")
 compss_wait_on_file("grid.h5")
 "#;
-        let (script, report) = PyCompssScript::parse(code);
+        let (spec, report) = read(code, "pycompss-workflow");
         assert!(report.is_valid(), "{report}");
-        let spec = script.unwrap().to_spec("pycompss-workflow").unwrap();
+        let spec = spec.unwrap();
         assert_eq!(spec.tasks.len(), 2);
         let produce = spec.task("produce").unwrap();
         assert_eq!(produce.nprocs, 3);
@@ -285,9 +227,9 @@ compss_wait_on_file("grid.h5")
         // @task(returns=1): the task still parses and runs, but the lost
         // direction honestly costs it every data edge (and thus fidelity).
         let code = "from pycompss.api.task import task\n\n@task(returns=1)\ndef produce(n, outfile):\n    return n\n\nproduce(50, \"output.txt\")\n";
-        let (script, report) = PyCompssScript::parse(code);
+        let (spec, report) = read(code, "pycompss-workflow");
         assert!(report.is_valid(), "{report}");
-        let spec = script.unwrap().to_spec("pycompss-workflow").unwrap();
+        let spec = spec.unwrap();
         assert_eq!(spec.tasks.len(), 1);
         assert!(spec.tasks[0].data.is_empty());
     }
@@ -295,8 +237,8 @@ compss_wait_on_file("grid.h5")
     #[test]
     fn undecorated_script_yields_no_spec() {
         let code = "from pycompss.api.api import compss_barrier\n\ndef produce(n):\n    return n\n\nproduce(5)\n";
-        let (script, report) = PyCompssScript::parse(code);
-        assert!(script.is_none());
+        let (spec, report) = read(code, "pycompss-workflow");
+        assert!(spec.is_none());
         assert!(report.has_code("schema"));
     }
 
@@ -305,9 +247,9 @@ compss_wait_on_file("grid.h5")
         // style_rewrite renames outfile → output_path in both the decorator
         // kwarg and the parameter list; the kwarg-to-param match survives.
         let code = "from pycompss.api.task import task\nfrom pycompss.api.parameter import FILE_OUT\n\n@task(output_path=FILE_OUT)\ndef run_producer(num_values, output_path):\n    return num_values\n\nrun_producer(50, \"output.txt\")\n";
-        let (script, report) = PyCompssScript::parse(code);
+        let (spec, report) = read(code, "pycompss-workflow");
         assert!(report.is_valid(), "{report}");
-        let spec = script.unwrap().to_spec("pycompss-workflow").unwrap();
+        let spec = spec.unwrap();
         assert_eq!(spec.tasks[0].data.len(), 1);
         assert_eq!(spec.tasks[0].data[0].dataset, "output");
         assert_eq!(spec.tasks[0].data[0].role, DataRole::Produces);
@@ -322,10 +264,7 @@ compss_wait_on_file("grid.h5")
             "pycompss @task()\ndef f():\n",
             "\u{0}@task(a=FILE_IN)\ndef f(a):\n",
         ] {
-            let (script, _report) = PyCompssScript::parse(soup);
-            if let Some(script) = script {
-                let _ = script.to_spec("pycompss-workflow");
-            }
+            let _ = read(soup, "pycompss-workflow");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Line-level Python scanning shared by the Parsl and PyCOMPSs front-ends.
+//! Line-level Python scanning shared by the Parsl and PyCOMPSs readers.
 //!
 //! Both systems describe workflow structure inside annotated task code
 //! rather than a configuration file: decorated function definitions are the
@@ -6,8 +6,13 @@
 //! calls) to the parameters that carry the dataflow.  This module recovers
 //! exactly that — decorated functions with their parameter lists, and
 //! top-level invocations with their argument texts — without attempting to
-//! be a general Python parser.  Everything is a total function of the input:
+//! be a general Python parser, and infers each task's dataflow from them
+//! ([`dataflow_for`]).  Everything is a total function of the input:
 //! malformed text yields fewer findings, never a panic.
+
+use std::collections::BTreeSet;
+
+use crate::spec::{DataRequirement, DataRole};
 
 /// One decorator applied to a function definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,22 +23,12 @@ pub struct PyDecorator {
     /// Keyword arguments as `(name, raw value text)` pairs; positional
     /// decorator arguments are recorded with an empty name.
     pub args: Vec<(String, String)>,
-    /// 1-based source line.
-    pub line: usize,
 }
 
 impl PyDecorator {
     /// Final segment of the dotted name (`parsl.python_app` → `python_app`).
     pub fn base_name(&self) -> &str {
         self.name.rsplit('.').next().unwrap_or(&self.name)
-    }
-
-    /// The raw value of a keyword argument, if present.
-    pub fn kwarg(&self, name: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
     }
 }
 
@@ -47,8 +42,6 @@ pub struct PyFunction {
     pub params: Vec<String>,
     /// Decorators in source order.
     pub decorators: Vec<PyDecorator>,
-    /// 1-based line of the `def`.
-    pub line: usize,
 }
 
 impl PyFunction {
@@ -69,8 +62,6 @@ pub struct PyInvocation {
     pub args: Vec<String>,
     /// Variable the result is assigned to (`future = produce(...)`).
     pub assigned_to: Option<String>,
-    /// 1-based source line.
-    pub line: usize,
 }
 
 fn is_ident(s: &str) -> bool {
@@ -158,8 +149,7 @@ fn paren_args(line: &str, open: usize) -> &str {
 pub fn scan_functions(source: &str) -> Vec<PyFunction> {
     let mut functions = Vec::new();
     let mut pending: Vec<PyDecorator> = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
-        let line_no = idx + 1;
+    for raw in source.lines() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -182,11 +172,7 @@ pub fn scan_functions(source: &str) -> Vec<PyFunction> {
                 None => (rest.trim().to_owned(), Vec::new()),
             };
             if !name.is_empty() {
-                pending.push(PyDecorator {
-                    name,
-                    args,
-                    line: line_no,
-                });
+                pending.push(PyDecorator { name, args });
             }
             continue;
         }
@@ -206,7 +192,6 @@ pub fn scan_functions(source: &str) -> Vec<PyFunction> {
                         name,
                         params,
                         decorators: std::mem::take(&mut pending),
-                        line: line_no,
                     });
                 }
             }
@@ -222,7 +207,7 @@ pub fn scan_functions(source: &str) -> Vec<PyFunction> {
 /// lines, recording raw argument texts and any simple assignment target.
 pub fn scan_invocations(source: &str, names: &[&str]) -> Vec<PyInvocation> {
     let mut invocations = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
+    for raw in source.lines() {
         let line = raw.trim_end();
         let trimmed = line.trim_start();
         if trimmed.starts_with("def ") || trimmed.starts_with('@') || trimmed.starts_with('#') {
@@ -252,7 +237,6 @@ pub fn scan_invocations(source: &str, names: &[&str]) -> Vec<PyInvocation> {
                     callee: name.to_owned(),
                     args,
                     assigned_to,
-                    line: idx + 1,
                 });
             }
         }
@@ -292,26 +276,92 @@ pub fn dataset_from_path(path: &str) -> String {
 /// Dataflow direction a parameter name implies, from its `_`-separated
 /// tokens (`outfile`, `output_path` → produces; `infile`, `input_path` →
 /// consumes; anything else carries no direction).
-pub fn param_direction(param: &str) -> Option<crate::spec::DataRole> {
+pub fn param_direction(param: &str) -> Option<DataRole> {
     let lower = param.to_ascii_lowercase();
     for token in lower.split('_') {
         match token {
             "out" | "outfile" | "output" | "outputs" | "outpath" => {
-                return Some(crate::spec::DataRole::Produces)
+                return Some(DataRole::Produces)
             }
-            "in" | "infile" | "input" | "inputs" | "inpath" => {
-                return Some(crate::spec::DataRole::Consumes)
-            }
+            "in" | "infile" | "input" | "inputs" | "inpath" => return Some(DataRole::Consumes),
             _ => {}
         }
     }
     None
 }
 
+/// The dataflow of one task, inferred from the invocations of every task:
+/// directional parameters bound to string literals (or left unbound), plus
+/// future variables flowing between tasks.  The `direction` callback decides
+/// which parameters carry dataflow and which way (Parsl infers it from
+/// parameter names, PyCOMPSs from `@task` parameter annotations).
+/// Requirements come sorted by dataset, then role.
+pub fn dataflow_for(
+    task: &str,
+    params: &[String],
+    invocations: &[PyInvocation],
+    direction: &dyn Fn(&str) -> Option<DataRole>,
+    is_task: &dyn Fn(&str) -> bool,
+) -> Vec<DataRequirement> {
+    let mut edges: BTreeSet<(String, DataRole)> = BTreeSet::new();
+    let mut bound: BTreeSet<&str> = BTreeSet::new();
+    // Futures: variables assigned from a task invocation, named after the
+    // variable itself.
+    let futures: Vec<(&str, &str)> = invocations
+        .iter()
+        .filter_map(|inv| {
+            inv.assigned_to
+                .as_deref()
+                .map(|var| (var, inv.callee.as_str()))
+        })
+        .collect();
+    for inv in invocations.iter().filter(|inv| inv.callee == task) {
+        for (param, arg) in params.iter().zip(&inv.args) {
+            if let Some(path) = string_literal(arg) {
+                if let Some(role) = direction(param) {
+                    bound.insert(param.as_str());
+                    edges.insert((dataset_from_path(path), role));
+                }
+            } else if let Some(&(var, producer)) = futures
+                .iter()
+                .find(|(var, producer)| var == &arg.as_str() && *producer != task)
+            {
+                if is_task(producer) {
+                    bound.insert(param.as_str());
+                    edges.insert((var.to_owned(), DataRole::Consumes));
+                }
+            }
+        }
+    }
+    // The produces side of every future this task's invocations feed into
+    // another task.
+    for (var, producer) in &futures {
+        if *producer == task
+            && invocations.iter().any(|inv| {
+                inv.callee != task && is_task(&inv.callee) && inv.args.iter().any(|a| a == var)
+            })
+        {
+            edges.insert(((*var).to_owned(), DataRole::Produces));
+        }
+    }
+    // Directional parameters never bound at any call site still carry the
+    // declared intent; fall back to the parameter name as the dataset.
+    for param in params {
+        if let Some(role) = direction(param) {
+            if !bound.contains(param.as_str()) {
+                edges.insert((param.clone(), role));
+            }
+        }
+    }
+    edges
+        .into_iter()
+        .map(|(dataset, role)| DataRequirement { dataset, role })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::DataRole;
 
     #[test]
     fn scans_decorated_functions_with_params() {
@@ -329,12 +379,18 @@ mod tests {
 
     #[test]
     fn decorator_kwargs_are_recovered() {
-        let src = "@task(outfile=FILE_OUT, returns=1)\ndef produce(n, outfile):\n    pass\n";
+        let src = "@task(outfile=FILE_OUT, returns=1, \"x\")\ndef produce(n, outfile):\n    pass\n";
         let funcs = scan_functions(src);
         let task = funcs[0].decorator_in(&["task"]).unwrap();
-        assert_eq!(task.kwarg("outfile"), Some("FILE_OUT"));
-        assert_eq!(task.kwarg("returns"), Some("1"));
-        assert_eq!(task.kwarg("missing"), None);
+        let args: Vec<(&str, &str)> = task
+            .args
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(
+            args,
+            [("outfile", "FILE_OUT"), ("returns", "1"), ("", "\"x\"")]
+        );
     }
 
     #[test]
@@ -370,7 +426,7 @@ mod tests {
         let src = "def produce(n):\n    pass\n\nproduce(5)\n";
         let invocations = scan_invocations(src, &["produce"]);
         assert_eq!(invocations.len(), 1);
-        assert_eq!(invocations[0].line, 4);
+        assert_eq!(invocations[0].args, vec!["5"]);
     }
 
     #[test]

@@ -1,16 +1,20 @@
-//! Pins the full text of every report the Wilkins and ADIOS2 configuration
-//! parsers produce: kinds, severities, messages, order and positions.
+//! Pins the full text of every report `validate_config` gives for a Wilkins
+//! or an ADIOS2 configuration: kinds, severities, messages, order and
+//! positions.
 //!
-//! The inputs reach every diagnostic the two parsers push: a root of each
+//! The inputs reach every diagnostic the two readers push: a root of each
 //! of the seven YAML value kinds, entries of the wrong kind at every level,
 //! unknown and misplaced fields, an escaped double-quoted key, the ADIOS2
 //! `Engine` and `Variables` forms, and each kind of YAML error the parser
-//! reports.  A change to either parser or to the YAML layer under it that
-//! moves one byte of a report fails here with the case's name.
+//! reports.  A change to either reader or to the YAML layer under it that
+//! moves one byte of a report fails here with the case's name.  The specs
+//! that `workflow_spec_from_config` recovers where a malformed entry leaves
+//! no trace in the report are pinned too.
 
-use wfspeak_systems::adios2::Adios2Config;
-use wfspeak_systems::wilkins::WilkinsConfig;
-use wfspeak_systems::ValidationReport;
+use wfspeak_systems::{
+    validate_config, workflow_spec_from_config, TaskSpec, ValidationReport, WorkflowSpec,
+    WorkflowSystemId,
+};
 
 /// One pinned case: a name, the configuration text and the expected
 /// `Display` of the report it yields.
@@ -130,7 +134,9 @@ fn wilkins_reports_match_their_pins() {
             "error[schema]: task #0: `dsets` entries must be mappings, found string\nerror[unknown-field]: task #0: dset field `shape` does not exist in Wilkins\nerror[schema]: task #0: dset entry missing `name`",
         ),
     ]);
-    check(&cases, |source| WilkinsConfig::parse(source).1);
+    check(&cases, |source| {
+        validate_config(WorkflowSystemId::Wilkins, source)
+    });
 }
 
 #[test]
@@ -180,46 +186,46 @@ fn adios2_reports_match_their_pins() {
         ("missing-io-name", "- Engine: SST\n- IO: 3\n  Engine: SST\n- IO: B\n", "error[schema]: IO definition #0 is missing the `IO` name\nerror[schema]: IO definition #1: `IO` must be a string, found int\nwarning[schema]: IO `B` does not set an engine type; BPFile is assumed"),
         ("empty-list", "[]\n", "error[schema]: configuration defines no IO entries"),
     ]);
-    check(&cases, |source| Adios2Config::parse(source).1);
+    check(&cases, |source| {
+        validate_config(WorkflowSystemId::Adios2, source)
+    });
 }
 
 #[test]
 fn parsed_values_behind_the_quiet_cases_are_pinned_too() {
-    // Wilkins dset flags leave no diagnostic when they are malformed, and
-    // malformed ADIOS2 `Variables` entries are dropped after theirs; what
-    // they parse to is pinned here.
-    let (config, _) = Adios2Config::parse(
+    // Malformed ADIOS2 `Variables` entries are dropped after their
+    // diagnostic, and Wilkins dset flags are accepted whatever their value;
+    // the spec each input yields is pinned here.
+    let (spec, _) = workflow_spec_from_config(
+        WorkflowSystemId::Adios2,
         "- IO: W\n  Engine: SST\n  Variables:\n    - grid\n    - Variable: particles\n      Shape: [2]\n    - Shape: [3]\n    - 4\n- IO: X\n  Engine: {Type: BP5}\n  Variables: grid\n",
     );
-    let ios = config.unwrap().ios;
-    let read: Vec<_> = ios
-        .iter()
-        .map(|io| (io.name.as_str(), io.engine.as_str(), io.variables.clone()))
-        .collect();
     assert_eq!(
-        read,
-        [
-            ("W", "SST", vec!["grid".to_owned(), "particles".to_owned()]),
-            ("X", "BP5", vec![]),
-        ]
+        spec,
+        Some(
+            WorkflowSpec::new("adios2-workflow")
+                .with_task(
+                    TaskSpec::new("producer", 1)
+                        .produces("grid")
+                        .produces("particles")
+                )
+                .with_task(TaskSpec::new("consumer1", 1).consumes("x"))
+        )
     );
 
-    let (config, _) = WilkinsConfig::parse(
+    let (spec, _) = workflow_spec_from_config(
+        WorkflowSystemId::Wilkins,
         "tasks:\n  - func: p\n    nprocs: 3\n    inports:\n      - filename: f.h5\n        dsets:\n          - just-a-name\n          - name: /g/a\n            file: 1\n            memory: 0\n          - name: /g/b\n            file: yes\n            memory: 7\n          - name: /g/c\n            file: true\n            memory: false\n",
     );
-    let task = &config.unwrap().tasks[0];
-    assert_eq!((task.func.as_str(), task.nprocs), ("p", 3));
-    let flags: Vec<_> = task.inports[0]
-        .dsets
-        .iter()
-        .map(|d| (d.name.as_str(), d.file, d.memory))
-        .collect();
     assert_eq!(
-        flags,
-        [
-            ("/g/a", true, false),
-            ("/g/b", false, true),
-            ("/g/c", true, false)
-        ]
+        spec,
+        Some(
+            WorkflowSpec::new("wilkins-workflow").with_task(
+                TaskSpec::new("p", 3)
+                    .consumes("a")
+                    .consumes("b")
+                    .consumes("c")
+            )
+        )
     );
 }

@@ -6,8 +6,9 @@
 use wfspeak_corpus::references::{annotation_reference, configuration_reference};
 use wfspeak_corpus::WorkflowSystemId;
 use wfspeak_runtime::{Engine, EngineConfig};
-use wfspeak_systems::wilkins::WilkinsConfig;
-use wfspeak_systems::{validate_config, validate_task_code, WorkflowSpec};
+use wfspeak_systems::{
+    validate_config, validate_task_code, workflow_spec_from_config, WorkflowSpec,
+};
 
 #[test]
 fn references_validate_against_their_own_system_models() {
@@ -26,9 +27,9 @@ fn references_validate_against_their_own_system_models() {
 #[test]
 fn reference_wilkins_config_parses_converts_and_executes() {
     let reference = configuration_reference(WorkflowSystemId::Wilkins).unwrap();
-    let (config, report) = WilkinsConfig::parse(reference);
+    let (spec, report) = workflow_spec_from_config(WorkflowSystemId::Wilkins, reference);
     assert!(report.is_valid());
-    let spec = config.unwrap().to_spec("integration");
+    let spec = spec.unwrap();
     assert!(!spec.validate().iter().any(|d| d.is_error()));
     assert_eq!(spec.total_procs(), 5);
 
@@ -82,13 +83,13 @@ tasks:
 #[test]
 fn generated_wilkins_config_for_arbitrary_specs_round_trips_and_runs() {
     use wfspeak_systems::TaskSpec;
-    let spec = WorkflowSpec::new("custom")
+    let spec = WorkflowSpec::new("wilkins-workflow")
         .with_task(TaskSpec::new("sim", 4).produces("field").produces("mesh"))
         .with_task(TaskSpec::new("viz", 2).consumes("field"))
         .with_task(TaskSpec::new("stats", 1).consumes("mesh").consumes("field"));
-    let (parsed, report) = WilkinsConfig::parse(CUSTOM_WILKINS);
+    let (parsed, report) = workflow_spec_from_config(WorkflowSystemId::Wilkins, CUSTOM_WILKINS);
     assert!(report.is_valid(), "{report}");
-    let round_tripped = parsed.unwrap().to_spec("custom");
+    let round_tripped = parsed.unwrap();
     assert_eq!(round_tripped, spec);
 
     let outcome = Engine::new(EngineConfig {
