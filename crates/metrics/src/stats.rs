@@ -1,9 +1,7 @@
-//! Score statistics: mean, standard deviation, standard error and rank
-//! correlation.
+//! Score statistics: mean, standard deviation and standard error.
 //!
 //! Every table in the paper reports "mean ± standard error over 5 runs";
-//! [`Summary`] reproduces exactly that. [`spearman_rank_correlation`]
-//! compares how two metrics rank the same cells.
+//! [`Summary`] reproduces exactly that.
 
 use serde::{Deserialize, Serialize};
 
@@ -80,60 +78,6 @@ pub fn pool_summaries(cells: &[Summary]) -> Summary {
     Summary::from_samples(&means)
 }
 
-/// Spearman rank correlation between two equally long score vectors.
-/// Returns `None` when lengths differ or are < 2.
-pub fn spearman_rank_correlation(a: &[f64], b: &[f64]) -> Option<f64> {
-    if a.len() != b.len() || a.len() < 2 {
-        return None;
-    }
-    let ra = ranks(a);
-    let rb = ranks(b);
-    pearson(&ra, &rb)
-}
-
-/// Pearson correlation coefficient; `None` if either vector has zero
-/// variance or the lengths differ / are < 2.
-pub fn pearson(a: &[f64], b: &[f64]) -> Option<f64> {
-    if a.len() != b.len() || a.len() < 2 {
-        return None;
-    }
-    let n = a.len() as f64;
-    let ma = a.iter().sum::<f64>() / n;
-    let mb = b.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma).powi(2);
-        vb += (y - mb).powi(2);
-    }
-    if va == 0.0 || vb == 0.0 {
-        return None;
-    }
-    Some(cov / (va.sqrt() * vb.sqrt()))
-}
-
-/// Average ranks (1-based) with ties receiving the mean of their ranks.
-fn ranks(values: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&i, &j| values[i].partial_cmp(&values[j]).unwrap());
-    let mut out = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
-            j += 1;
-        }
-        let avg_rank = (i + j) as f64 / 2.0 + 1.0;
-        for k in i..=j {
-            out[idx[k]] = avg_rank;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,36 +126,5 @@ mod tests {
         let pooled = pool_summaries(&[a, b]);
         assert!((pooled.mean - 15.0).abs() < 1e-12);
         assert_eq!(pooled.n, 2);
-    }
-
-    #[test]
-    fn spearman_perfect_monotonic_is_1() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [10.0, 20.0, 30.0, 40.0];
-        assert!((spearman_rank_correlation(&a, &b).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_reversed_is_minus_1() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [4.0, 3.0, 2.0, 1.0];
-        assert!((spearman_rank_correlation(&a, &b).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_mismatched_lengths_none() {
-        assert!(spearman_rank_correlation(&[1.0], &[1.0, 2.0]).is_none());
-        assert!(spearman_rank_correlation(&[1.0], &[2.0]).is_none());
-    }
-
-    #[test]
-    fn pearson_zero_variance_none() {
-        assert!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]).is_none());
-    }
-
-    #[test]
-    fn ranks_handle_ties() {
-        let r = ranks(&[10.0, 20.0, 20.0, 30.0]);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
     }
 }
