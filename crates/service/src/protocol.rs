@@ -712,8 +712,7 @@ pub fn decode_line<T: Deserialize>(line: &str) -> Result<T, String> {
 pub fn salvage_request_id(line: &str) -> u64 {
     serde_json::from_str::<serde::Value>(line.trim())
         .ok()
-        .and_then(|v| v["id"].as_i64())
-        .and_then(|id| u64::try_from(id).ok())
+        .and_then(|v| u64::deserialize(&v["id"]).ok())
         .unwrap_or(0)
 }
 
@@ -1054,5 +1053,32 @@ mod tests {
         assert_eq!(salvage_request_id(r#"{"id": 42, "task": 3}"#), 42);
         assert_eq!(salvage_request_id("not json"), 0);
         assert_eq!(salvage_request_id(r#"{"id": -1}"#), 0);
+    }
+
+    #[test]
+    fn salvage_request_id_recovers_ids_past_i64_max() {
+        let line = format!(r#"{{"id": {}, "task": 3}}"#, u64::MAX);
+        assert_eq!(salvage_request_id(&line), u64::MAX);
+        let line = format!(r#"{{"id": {}}}"#, u128::from(u64::MAX) + 1);
+        assert_eq!(salvage_request_id(&line), 0);
+    }
+
+    #[test]
+    fn ids_past_i64_max_round_trip_through_the_line_codec() {
+        for id in [1u64 << 63, u64::MAX - 1, u64::MAX] {
+            let line = encode_line(&ScoreRequest::by_id(
+                id,
+                TaskKind::Configuration,
+                "Henson",
+                vec!["x".into()],
+            ));
+            assert!(line.starts_with(&format!(r#"{{"id":{id},"#)), "{line}");
+            let decoded: ScoreRequest = decode_line(&line).unwrap();
+            assert_eq!(decoded.id, id);
+
+            let line = encode_line(&ScoreResponse::success(id, Vec::new()));
+            let decoded: ScoreResponse = decode_line(&line).unwrap();
+            assert_eq!(decoded.id, id);
+        }
     }
 }
