@@ -12,15 +12,14 @@
 //! no trace in the report are pinned too.
 
 use wfspeak_systems::{
-    validate_config, workflow_spec_from_config, TaskSpec, ValidationReport, WorkflowSpec,
-    WorkflowSystemId,
+    validate_config, workflow_spec_from_config, TaskSpec, WorkflowSpec, WorkflowSystemId,
 };
 
 /// One pinned case: a name, the configuration text and the expected
 /// `Display` of the report it yields.
 type Case = (&'static str, &'static str, &'static str);
 
-/// YAML inputs shared by both parsers: roots of every value kind and one
+/// YAML inputs shared by both readers: roots of every value kind and one
 /// document per YAML error kind the parser reports.
 const SHARED: &[(&str, &str)] = &[
     ("root-null", "# only a comment\n"),
@@ -48,10 +47,10 @@ const SHARED: &[(&str, &str)] = &[
     ("yaml-stray-flow-closer", "tasks: [1}, 2]\n"),
 ];
 
-fn check(cases: &[Case], parse: impl Fn(&str) -> ValidationReport) {
+fn check(cases: &[Case], system: WorkflowSystemId) {
     let mut mismatches = Vec::new();
     for (name, source, expected) in cases {
-        let actual = parse(source).to_string();
+        let actual = validate_config(system, source).to_string();
         if actual != *expected {
             mismatches.push(format!(
                 "{name}:\n  expected {expected:?}\n  actual   {actual:?}"
@@ -134,9 +133,7 @@ fn wilkins_reports_match_their_pins() {
             "error[schema]: task #0: `dsets` entries must be mappings, found string\nerror[unknown-field]: task #0: dset field `shape` does not exist in Wilkins\nerror[schema]: task #0: dset entry missing `name`",
         ),
     ]);
-    check(&cases, |source| {
-        validate_config(WorkflowSystemId::Wilkins, source)
-    });
+    check(&cases, WorkflowSystemId::Wilkins);
 }
 
 #[test]
@@ -186,9 +183,7 @@ fn adios2_reports_match_their_pins() {
         ("missing-io-name", "- Engine: SST\n- IO: 3\n  Engine: SST\n- IO: B\n", "error[schema]: IO definition #0 is missing the `IO` name\nerror[schema]: IO definition #1: `IO` must be a string, found int\nwarning[schema]: IO `B` does not set an engine type; BPFile is assumed"),
         ("empty-list", "[]\n", "error[schema]: configuration defines no IO entries"),
     ]);
-    check(&cases, |source| {
-        validate_config(WorkflowSystemId::Adios2, source)
-    });
+    check(&cases, WorkflowSystemId::Adios2);
 }
 
 #[test]
