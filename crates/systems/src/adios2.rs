@@ -107,7 +107,9 @@ pub(crate) fn read(source: &str, spec_name: &str) -> (Option<WorkflowSpec>, Vali
                                     .as_str()
                                     .ok_or(("engine `Type` must be a string", ev.type_name()));
                             } else if !catalog.is_real_config_field(ek) {
-                                report.push(Diagnostic::warning(DiagnosticKind::UnknownParameter, format!("IO `{name}`: engine parameter `{ek}` is not a common ADIOS2 parameter"),
+                                report.push(Diagnostic::warning(
+                                    DiagnosticKind::UnknownParameter,
+                                    format!("IO `{name}`: engine parameter `{ek}` is not a common ADIOS2 parameter"),
                                 ));
                             }
                         }
@@ -140,7 +142,9 @@ pub(crate) fn read(source: &str, spec_name: &str) -> (Option<WorkflowSpec>, Vali
                 },
                 other if catalog.is_real_config_field(other) => {}
                 other => {
-                    report.push(Diagnostic::error(DiagnosticKind::UnknownField, format!("IO definition #{idx}: field `{other}` does not exist in ADIOS2 configs"),
+                    report.push(Diagnostic::error(
+                        DiagnosticKind::UnknownField,
+                        format!("IO definition #{idx}: field `{other}` does not exist in ADIOS2 configs"),
                     ));
                 }
             }

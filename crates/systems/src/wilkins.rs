@@ -212,51 +212,19 @@ fn read_ports(
         for EntryRef { key, node: v, .. } in map.iter() {
             match key.as_ref() {
                 "filename" => filename = Some(v.as_str().ok_or(v.type_name())),
-                "dsets" => {
-                    if let Some(list) = v.as_seq() {
+                "dsets" => match v.as_seq() {
+                    Some(list) => {
                         for d in list {
-                            let Some(dm) = d.as_map() else {
-                                report.push(Diagnostic::error(
-                                    DiagnosticKind::Schema,
-                                    format!(
-                                        "task #{task_idx}: `dsets` entries must be mappings, found {}",
-                                        d.type_name()
-                                    ),
-                                ));
-                                continue;
-                            };
-                            let mut name = "";
-                            for EntryRef {
-                                key: dk, node: dv, ..
-                            } in dm.iter()
-                            {
-                                match dk.as_ref() {
-                                    "name" => name = dv.as_str().unwrap_or_default(),
-                                    // Real Wilkins flags the runtime does not need.
-                                    "file" | "memory" => {}
-                                    other => report.push(Diagnostic::error(DiagnosticKind::UnknownField, format!(
-                                            "task #{task_idx}: dset field `{other}` does not exist in Wilkins"
-                                        ),
-                                    )),
-                                }
-                            }
-                            if name.is_empty() {
-                                report.push(Diagnostic::error(
-                                    DiagnosticKind::Schema,
-                                    format!("task #{task_idx}: dset entry missing `name`"),
-                                ));
-                            } else {
-                                let dataset = name.rsplit('/').next().unwrap_or(name);
+                            if let Some(dataset) = read_dset(d, task_idx, report) {
                                 data.push(DataRequirement::new(dataset, role));
                             }
                         }
-                    } else {
-                        report.push(Diagnostic::error(
-                            DiagnosticKind::Schema,
-                            format!("task #{task_idx}: `dsets` must be a sequence"),
-                        ));
                     }
-                }
+                    None => report.push(Diagnostic::error(
+                        DiagnosticKind::Schema,
+                        format!("task #{task_idx}: `dsets` must be a sequence"),
+                    )),
+                },
                 other => {
                     let kind = if catalog.is_real_config_field(other) {
                         DiagnosticKind::MisplacedField
@@ -285,6 +253,44 @@ fn read_ports(
         }
     }
     data
+}
+
+/// The dataset a `dsets` entry names: the last segment of its `name` path.
+fn read_dset<'n>(
+    dset: &'n Node<'_>,
+    task_idx: usize,
+    report: &mut ValidationReport,
+) -> Option<&'n str> {
+    let Some(map) = dset.as_map() else {
+        report.push(Diagnostic::error(
+            DiagnosticKind::Schema,
+            format!(
+                "task #{task_idx}: `dsets` entries must be mappings, found {}",
+                dset.type_name()
+            ),
+        ));
+        return None;
+    };
+    let mut name = "";
+    for EntryRef { key, node, .. } in map.iter() {
+        match key.as_ref() {
+            "name" => name = node.as_str().unwrap_or_default(),
+            // Real Wilkins flags the runtime does not need.
+            "file" | "memory" => {}
+            other => report.push(Diagnostic::error(
+                DiagnosticKind::UnknownField,
+                format!("task #{task_idx}: dset field `{other}` does not exist in Wilkins"),
+            )),
+        }
+    }
+    if name.is_empty() {
+        report.push(Diagnostic::error(
+            DiagnosticKind::Schema,
+            format!("task #{task_idx}: dset entry missing `name`"),
+        ));
+        return None;
+    }
+    name.rsplit('/').next()
 }
 
 #[cfg(test)]
